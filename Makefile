@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-hotpath bench-record bench-regress experiments results resume-smoke watch-smoke serve-smoke check-smoke fleet-smoke ingest-smoke adaptive-smoke cover fuzz clean
+.PHONY: all build test vet race bench bench-hotpath bench-record bench-regress experiments results resume-smoke watch-smoke serve-smoke check-smoke fleet-smoke ingest-smoke adaptive-smoke perfbench-test cover fuzz clean
 
 all: build test
 
@@ -95,6 +95,12 @@ ingest-smoke:
 # (see scripts/adaptive_smoke.sh).
 adaptive-smoke:
 	scripts/adaptive_smoke.sh
+
+# The repository benchmark (perfbench/) is a module of its own outside the
+# root ./..., so its vet and tests run here, against this checkout's
+# internal packages.
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Coverage gate: per-package report plus a total-% floor
 # (see scripts/cover.sh; override with COVER_BASELINE=<pct>).

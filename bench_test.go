@@ -255,29 +255,6 @@ func BenchmarkTable3FeatureBenefit(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed (instructions
-// per second) under the cheapest and the most expensive LLC policies —
-// the practical cost of multiperspective prediction in the simulator.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, pol := range []string{"lru", "mpppb"} {
-		b.Run(pol, func(b *testing.B) {
-			cfg := benchST()
-			gen := workload.NewGenerator(workload.SegmentID{Bench: "gcc_like", Seg: 0}, 0)
-			pf, err := sim.Policy(pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var instr uint64
-			for i := 0; i < b.N; i++ {
-				res := sim.RunSingle(cfg, gen, pf)
-				instr += res.Instructions
-			}
-			b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
-		})
-	}
-}
-
 // cacheReplacementPolicy aliases the cache policy interface for bench
 // helpers.
 type cacheReplacementPolicy = cache.ReplacementPolicy

@@ -10,6 +10,9 @@
 // paper's MPPPB all plug in. Policies see every lookup outcome via
 // Hit/Victim/Fill/Evict callbacks; Victim may additionally request bypass,
 // which the paper's techniques use for dead-on-arrival blocks.
+//
+// Caches are untimed: the Hierarchy owns data-arrival cycles, stamping
+// each frame it fills with SetReadyAt from the cycle passed to Demand.
 package cache
 
 import (
@@ -18,7 +21,14 @@ import (
 	"mpppb/internal/trace"
 )
 
-// Access is a single reference presented to a cache.
+// Access is a single reference presented to a cache. It is passed by value
+// through every level and every policy hook, so it must stay
+// register-resident: the Go compiler keeps a struct in registers only
+// while it has at most 4 fields and at most 4 words (ssa.MaxStruct; 32
+// bytes on 64-bit hosts). Past that limit each hand-off spills it field by
+// field and reloads it with wider loads the CPU cannot forward from the
+// narrower stores, a store-forwarding stall on every call.
+// TestAccessFitsInRegisters guards the limit.
 type Access struct {
 	// PC is the address of the memory instruction responsible (the fake
 	// trace.PrefetchPC for hardware prefetches).
@@ -29,9 +39,6 @@ type Access struct {
 	Type trace.AccessType
 	// Core identifies the requesting core in multi-core simulations.
 	Core int
-	// Now is the current cycle, used for prefetch-timeliness modelling
-	// (zero in untimed runs).
-	Now uint64
 }
 
 // Block returns the block address of the access.
@@ -108,7 +115,9 @@ type Stats struct {
 	Writebacks       uint64 // dirty blocks evicted
 }
 
-// Result describes the outcome of one cache access.
+// Result describes the outcome of one cache access. It is too wide for
+// registers, so the hot path never copies it whole: access fills it in
+// place in the caller's frame.
 type Result struct {
 	// Hit reports whether the lookup hit.
 	Hit bool
@@ -260,24 +269,22 @@ func (c *Cache) IsPrefetchedAt(set, way int) bool {
 // (unless the policy bypasses it); the caller is responsible for propagating
 // the miss to the next level first if fill data ordering matters (the
 // simulator fills bottom-up, so lower levels are accessed before upper
-// levels install).
+// levels install). A filled frame's data-arrival cycle starts at 0; the
+// Hierarchy stamps it with SetReadyAt.
 func (c *Cache) Access(a Access) Result {
-	r := c.access(a)
-	if verifyAsserts {
-		c.assertSetWellFormed(r.Set)
-	}
-	if c.obs != nil {
-		c.obs.OnAccess(a, r)
-	}
+	var r Result
+	c.access(a, &r)
 	return r
 }
 
-// access is the lookup-and-fill body; Access wraps it with the optional
-// observer notification and build-tag assertions.
-func (c *Cache) access(a Access) Result {
+// access is the lookup-and-fill body behind Access and the Hierarchy. It
+// writes the outcome through r, which the caller keeps in its own frame,
+// then runs the build-tag assertions and the optional observer.
+func (c *Cache) access(a Access, r *Result) {
 	blockAddr := a.Block()
 	set := c.SetIndex(blockAddr)
 	base := set * c.ways
+	*r = Result{Set: set}
 
 	c.Stats.Accesses++
 	demand := a.IsDemand()
@@ -289,11 +296,17 @@ func (c *Cache) access(a Access) Result {
 
 	// Probe: one pass over the set's contiguous tag lane. Invalid frames
 	// hold noBlock, so a match implies a valid frame.
+	way := -1
 	for w, fa := range c.addrs[base : base+c.ways] {
-		if fa != blockAddr {
-			continue
+		if fa == blockAddr {
+			way = w
+			break
 		}
-		i := base + w
+	}
+
+	switch {
+	case way >= 0:
+		i := base + way
 		c.Stats.Hits++
 		if demand {
 			c.Stats.DemandHits++
@@ -302,31 +315,37 @@ func (c *Cache) access(a Access) Result {
 		if a.Type == trace.Store || a.Type == trace.Writeback {
 			c.flags[i] |= frameDirty
 		}
-		c.policy.Hit(set, w, a)
-		return Result{Hit: true, Set: set, Way: w, ReadyAt: c.readyAts[i]}
+		c.policy.Hit(set, way, a)
+		r.Hit, r.Way, r.ReadyAt = true, way, c.readyAts[i]
+	case a.Type == trace.Writeback:
+		// Writebacks update-if-present but do not allocate: a dirty
+		// victim from the level above that misses here is sent on toward
+		// memory. This keeps the demand/prefetch reference stream at this
+		// level independent of replacement decisions made here (see
+		// DESIGN.md).
+		c.Stats.Misses++
+		r.Bypassed = true
+	default:
+		c.Stats.Misses++
+		if demand {
+			c.Stats.DemandMisses++
+		} else if a.Type == trace.Prefetch {
+			c.Stats.PrefetchMisses++
+		}
+		c.fill(set, blockAddr, a, r)
 	}
 
-	// Miss.
-	c.Stats.Misses++
-	if demand {
-		c.Stats.DemandMisses++
-	} else if a.Type == trace.Prefetch {
-		c.Stats.PrefetchMisses++
+	if verifyAsserts {
+		c.assertSetWellFormed(set)
 	}
-
-	// Writebacks update-if-present but do not allocate: a dirty victim
-	// from the level above that misses here is sent on toward memory.
-	// This keeps the demand/prefetch reference stream at this level
-	// independent of replacement decisions made here (see DESIGN.md).
-	if a.Type == trace.Writeback {
-		return Result{Hit: false, Bypassed: true, Set: set}
+	if c.obs != nil {
+		c.obs.OnAccess(a, *r)
 	}
-
-	return c.fill(set, blockAddr, a)
 }
 
-// fill installs blockAddr into set, choosing a victim as needed.
-func (c *Cache) fill(set int, blockAddr uint64, a Access) Result {
+// fill installs blockAddr into set, choosing a victim as needed, and
+// records the outcome in r.
+func (c *Cache) fill(set int, blockAddr uint64, a Access, r *Result) {
 	base := set * c.ways
 
 	// Prefer an invalid frame.
@@ -338,13 +357,12 @@ func (c *Cache) fill(set int, blockAddr uint64, a Access) Result {
 		}
 	}
 
-	res := Result{Hit: false, Set: set}
 	if way < 0 {
 		victim, bypass := c.policy.Victim(set, a)
 		if bypass {
 			c.Stats.Bypasses++
-			res.Bypassed = true
-			return res
+			r.Bypassed = true
+			return
 		}
 		if victim < 0 || victim >= c.ways {
 			panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d",
@@ -355,16 +373,16 @@ func (c *Cache) fill(set int, blockAddr uint64, a Access) Result {
 		c.Stats.Evictions++
 		if c.flags[i]&frameDirty != 0 {
 			c.Stats.Writebacks++
-			res.EvictedDirty = true
+			r.EvictedDirty = true
 		}
-		res.EvictedValid = true
-		res.EvictedAddr = c.addrs[i]
+		r.EvictedValid = true
+		r.EvictedAddr = c.addrs[i]
 		c.policy.Evict(set, way, c.addrs[i])
 	}
 
 	i := base + way
 	c.addrs[i] = blockAddr
-	c.readyAts[i] = a.Now
+	c.readyAts[i] = 0
 	fl := frameValid
 	if a.Type == trace.Store {
 		fl |= frameDirty
@@ -374,9 +392,8 @@ func (c *Cache) fill(set int, blockAddr uint64, a Access) Result {
 		c.Stats.PrefetchFills++
 	}
 	c.flags[i] = fl
-	res.Way = way
+	r.Way = way
 	c.policy.Fill(set, way, a)
-	return res
 }
 
 // Invalidate removes a block if present, returning whether it was present

@@ -208,16 +208,30 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestReadyAtRoundTrip pins the data-arrival contract: a fill stamps 0,
+// even over a frame that held a stamped block, and the cycle the
+// Hierarchy records with SetReadyAt is what later hits report.
 func TestReadyAtRoundTrip(t *testing.T) {
-	c := New("t", 2, 2, newLRUStub(2))
-	r := c.Access(Access{Addr: addr(3), Type: trace.Load, Now: 100})
-	if got := c.ReadyAt(r.Set, r.Way); got != 100 {
-		t.Fatalf("fill ReadyAt = %d, want Now=100", got)
+	c := New("t", 1, 1, newLRUStub(1))
+	r := c.Access(Access{Addr: addr(3), Type: trace.Load})
+	if got := c.ReadyAt(r.Set, r.Way); got != 0 {
+		t.Fatalf("fill ReadyAt = %d, want 0", got)
 	}
 	c.SetReadyAt(r.Set, r.Way, 500)
-	r2 := c.Access(Access{Addr: addr(3), Type: trace.Load, Now: 200})
-	if r2.ReadyAt != 500 {
-		t.Fatalf("hit ReadyAt = %d, want 500", r2.ReadyAt)
+	if got := c.ReadyAt(r.Set, r.Way); got != 500 {
+		t.Fatalf("ReadyAt after SetReadyAt = %d, want 500", got)
+	}
+	r2 := c.Access(Access{Addr: addr(3), Type: trace.Load})
+	if !r2.Hit || r2.ReadyAt != 500 {
+		t.Fatalf("hit = %v ReadyAt = %d, want hit at 500", r2.Hit, r2.ReadyAt)
+	}
+	// Replacing the stamped block restarts the frame at 0.
+	r3 := c.Access(Access{Addr: addr(4), Type: trace.Load})
+	if r3.Hit || r3.Way != r.Way || !r3.EvictedValid {
+		t.Fatalf("second block did not replace the first: %+v", r3)
+	}
+	if got := c.ReadyAt(r3.Set, r3.Way); got != 0 {
+		t.Fatalf("refill ReadyAt = %d, want 0", got)
 	}
 }
 

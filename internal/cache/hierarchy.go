@@ -40,6 +40,11 @@ func DefaultLatencies() Latencies {
 // arrives, and a demand access that catches up with an in-flight prefetch
 // pays the remaining latency. This is what keeps replacement policy
 // relevant for regular access patterns despite the prefetcher.
+//
+// The Hierarchy owns data-arrival cycles: a Cache fills a frame with
+// ready-at 0, and Demand stamps every fill it does not bypass with
+// SetReadyAt. The cycle passed to Demand reaches nothing else; policies
+// never see it.
 type Hierarchy struct {
 	Core int
 	L1   *Cache
@@ -78,9 +83,10 @@ func (h *Hierarchy) Demand(pc, addr uint64, isWrite bool, now uint64) int {
 	if isWrite {
 		typ = trace.Store
 	}
-	a := Access{PC: pc, Addr: addr, Type: typ, Core: h.Core, Now: now}
+	a := Access{PC: pc, Addr: addr, Type: typ, Core: h.Core}
 
-	r1 := h.L1.Access(a)
+	var r1 Result
+	h.L1.access(a, &r1)
 	if r1.Hit {
 		return h.hitLatency(h.Lat.L1, now, r1.ReadyAt)
 	}
@@ -91,14 +97,14 @@ func (h *Hierarchy) Demand(pc, addr uint64, isWrite bool, now uint64) int {
 		prefetches = h.Pf.OnL1Miss(pc, addr)
 	}
 
-	lat := h.accessBelowL1(a)
+	lat := h.accessBelowL1(a, now)
 
 	// The L1 fill completes when the data arrives.
 	h.L1.SetReadyAt(r1.Set, r1.Way, now+uint64(lat))
 
 	// L1 dirty victim goes to L2 (update-if-present; see Access docs).
 	if r1.EvictedValid && r1.EvictedDirty {
-		h.writeback(h.L2, r1.EvictedAddr, now)
+		h.writeback(h.L2, r1.EvictedAddr)
 	}
 
 	for _, pa := range prefetches {
@@ -107,16 +113,17 @@ func (h *Hierarchy) Demand(pc, addr uint64, isWrite bool, now uint64) int {
 	return lat
 }
 
-// accessBelowL1 services an L1 miss from L2, the LLC, or memory and returns
-// the access latency.
-func (h *Hierarchy) accessBelowL1(a Access) int {
-	now := a.Now
-	r2 := h.L2.Access(a)
+// accessBelowL1 services an L1 miss at cycle now from L2, the LLC, or
+// memory and returns the access latency.
+func (h *Hierarchy) accessBelowL1(a Access, now uint64) int {
+	var r2 Result
+	h.L2.access(a, &r2)
 	if r2.Hit {
 		return h.hitLatency(h.Lat.L2, now, r2.ReadyAt)
 	}
 	var lat int
-	r3 := h.LLC.Access(a)
+	var r3 Result
+	h.LLC.access(a, &r3)
 	if r3.Hit {
 		lat = h.hitLatency(h.Lat.LLC, now, r3.ReadyAt)
 	} else {
@@ -132,7 +139,7 @@ func (h *Hierarchy) accessBelowL1(a Access) int {
 		h.L2.SetReadyAt(r2.Set, r2.Way, now+uint64(lat))
 	}
 	if r2.EvictedValid && r2.EvictedDirty {
-		h.writeback(h.LLC, r2.EvictedAddr, now)
+		h.writeback(h.LLC, r2.EvictedAddr)
 	}
 	return lat
 }
@@ -142,13 +149,15 @@ func (h *Hierarchy) accessBelowL1(a Access) int {
 // but record when their data arrives.
 func (h *Hierarchy) prefetch(addr uint64, now uint64) {
 	h.PrefetchesIssued++
-	a := Access{PC: trace.PrefetchPC, Addr: addr, Type: trace.Prefetch, Core: h.Core, Now: now}
-	r2 := h.L2.Access(a)
+	a := Access{PC: trace.PrefetchPC, Addr: addr, Type: trace.Prefetch, Core: h.Core}
+	var r2 Result
+	h.L2.access(a, &r2)
 	if r2.Hit {
 		return
 	}
 	ready := now + uint64(h.Lat.Mem)
-	r3 := h.LLC.Access(a)
+	var r3 Result
+	h.LLC.access(a, &r3)
 	if r3.Hit {
 		arrival := now + uint64(h.Lat.LLC)
 		if r3.ReadyAt > arrival {
@@ -167,15 +176,16 @@ func (h *Hierarchy) prefetch(addr uint64, now uint64) {
 		h.L2.SetReadyAt(r2.Set, r2.Way, ready)
 	}
 	if r2.EvictedValid && r2.EvictedDirty {
-		h.writeback(h.LLC, r2.EvictedAddr, now)
+		h.writeback(h.LLC, r2.EvictedAddr)
 	}
 }
 
 // writeback sends a dirty victim to the given lower-level cache; if it
 // misses there it continues to memory.
-func (h *Hierarchy) writeback(c *Cache, blockAddr uint64, now uint64) {
-	a := Access{Addr: blockAddr << trace.BlockBits, Type: trace.Writeback, Core: h.Core, Now: now}
-	r := c.Access(a)
+func (h *Hierarchy) writeback(c *Cache, blockAddr uint64) {
+	a := Access{Addr: blockAddr << trace.BlockBits, Type: trace.Writeback, Core: h.Core}
+	var r Result
+	c.access(a, &r)
 	if !r.Hit {
 		h.MemWritebacks++
 	}

@@ -6,7 +6,8 @@
 // field must agree after every operation. A bookkeeping slip in the split
 // storage — a stale tag after invalidate, a flags byte out of sync with
 // the address lane, a readyAt written to the wrong row — diverges the
-// shadow immediately.
+// shadow immediately. The readyAt lane follows the data-arrival contract:
+// a fill stamps 0 and only SetReadyAt, the Hierarchy's stamp, moves it.
 package cache_test
 
 import (
@@ -45,7 +46,9 @@ func newShadow(sets, ways int, pol cache.ReplacementPolicy) *shadowCache {
 	return s
 }
 
-func (s *shadowCache) access(a cache.Access) {
+// access applies a to the shadow and returns the hit/ready-at outcome
+// cache.Cache must report for it.
+func (s *shadowCache) access(a cache.Access) (hit bool, readyAt uint64) {
 	block := a.Block()
 	set := int(block) & (s.sets - 1)
 	fr := s.frames[set]
@@ -58,11 +61,11 @@ func (s *shadowCache) access(a cache.Access) {
 				fr[w].dirty = true
 			}
 			s.pol.Hit(set, w, a)
-			return
+			return true, fr[w].readyAt
 		}
 	}
 	if a.Type == trace.Writeback {
-		return
+		return false, 0
 	}
 	way := -1
 	for w := range fr {
@@ -74,19 +77,19 @@ func (s *shadowCache) access(a cache.Access) {
 	if way < 0 {
 		victim, bypass := s.pol.Victim(set, a)
 		if bypass {
-			return
+			return false, 0
 		}
 		way = victim
 		s.pol.Evict(set, way, fr[way].addr)
 	}
 	fr[way] = shadowFrame{
 		addr:       block,
-		readyAt:    a.Now,
 		valid:      true,
 		dirty:      a.Type == trace.Store,
 		prefetched: a.Type == trace.Prefetch,
 	}
 	s.pol.Fill(set, way, a)
+	return false, 0
 }
 
 func (s *shadowCache) invalidate(block uint64) {
@@ -134,7 +137,9 @@ func (s *shadowCache) compare(t *testing.T, c *cache.Cache, step int) {
 // through the production SoA cache and the AoS shadow, comparing complete
 // frame state as it goes. Dirty bits are compared through eviction results
 // (Invalidate reports dirtiness) rather than a direct accessor, via the
-// invalidation steps.
+// invalidation steps. Ready-at stamps arrive through random SetReadyAt
+// calls on valid frames, as the Hierarchy makes them, and every hit must
+// report the stamp of the frame it hit.
 func TestSoAMatchesAoSShadow(t *testing.T) {
 	const sets, ways = 16, 4
 	for seed := int64(0); seed < 6; seed++ {
@@ -146,7 +151,8 @@ func TestSoAMatchesAoSShadow(t *testing.T) {
 			trace.Load, trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback,
 		}
 		for step := 0; step < 4000; step++ {
-			if rng.Intn(20) == 0 {
+			switch r := rng.Intn(20); {
+			case r == 0:
 				// Invalidate a random block from the reachable footprint;
 				// dirtiness must agree between the two models.
 				block := uint64(rng.Intn(sets * ways * 3))
@@ -163,15 +169,26 @@ func TestSoAMatchesAoSShadow(t *testing.T) {
 						seed, step, block, present, dirty, wantPresent, wantDirty)
 				}
 				sh.invalidate(block)
-			} else {
+			case r <= 3:
+				// Stamp a random frame's data arrival, as the Hierarchy does
+				// after each fill; invalid frames keep their 0.
+				set, w := rng.Intn(sets), rng.Intn(ways)
+				if _, valid := c.BlockAddrAt(set, w); valid {
+					cycle := uint64(step) + uint64(rng.Intn(500))
+					c.SetReadyAt(set, w, cycle)
+					sh.frames[set][w].readyAt = cycle
+				}
+			default:
 				a := cache.Access{
 					PC:   0x400000 + uint64(rng.Intn(64))*4,
 					Addr: uint64(rng.Intn(sets*ways*3))*trace.BlockSize + uint64(rng.Intn(trace.BlockSize)),
 					Type: types[rng.Intn(len(types))],
-					Now:  uint64(step),
 				}
-				c.Access(a)
-				sh.access(a)
+				r := c.Access(a)
+				if hit, readyAt := sh.access(a); r.Hit != hit || r.ReadyAt != readyAt {
+					t.Fatalf("seed %d step %d: Access = (hit %v, readyAt %d), shadow (%v, %d)",
+						seed, step, r.Hit, r.ReadyAt, hit, readyAt)
+				}
 			}
 			if step%7 == 0 {
 				sh.compare(t, c, step)

@@ -1,10 +1,13 @@
 package sim
 
-// Regression tests for the untimed drivers' clock: the "now" passed down
+// Regression tests for the untimed runs' clock: the "now" passed down
 // the hierarchy must never move backward across the warmup→measure
 // boundary (it used to reset to 0 with the loop counter, sending time
-// backward and confusing timestamp-ordered state such as the prefetcher's
-// stream LRU).
+// backward below the data-arrival stamps already in the caches).
+//
+// The clock is observed where the hierarchy uses it: Demand stamps every
+// LLC fill it does not bypass with now+Mem, so successive LLC fill stamps
+// must never decrease.
 
 import (
 	"testing"
@@ -14,35 +17,75 @@ import (
 	"mpppb/internal/workload"
 )
 
-// clockProbe wraps LRU and records the largest access timestamp seen,
-// failing the test on any backward step.
-type clockProbe struct {
-	*policy.LRU
-	t    *testing.T
-	last uint64
-	seen int
+// stampWatch follows the ready-at stamps of successive LLC fills, failing
+// the test on any backward step. Demand writes a fill's stamp after the
+// policy's Fill hook returns, so each hook settles the previous fill first.
+type stampWatch struct {
+	t        *testing.T
+	llc      *cache.Cache
+	pending  bool
+	set, way int
+	last     uint64
+	seen     int
 }
 
-func (p *clockProbe) check(a cache.Access) {
-	p.seen++
-	if a.Now < p.last {
-		p.t.Fatalf("access %d: clock moved backward (%d after %d)", p.seen, a.Now, p.last)
+// watchLLC arranges for w to read the LLC of the next hierarchy a run
+// builds.
+func (w *stampWatch) watchLLC(t *testing.T) {
+	w.t = t
+	hierarchyHook = func(h *cache.Hierarchy) { w.llc = h.LLC }
+	t.Cleanup(func() { hierarchyHook = nil })
+}
+
+func (w *stampWatch) settle() {
+	if !w.pending {
+		return
 	}
-	p.last = a.Now
+	w.pending = false
+	w.seen++
+	stamp := w.llc.ReadyAt(w.set, w.way)
+	if stamp < w.last {
+		w.t.Fatalf("LLC fill %d: clock moved backward (ready-at %d after %d)", w.seen, stamp, w.last)
+	}
+	w.last = stamp
+}
+
+func (w *stampWatch) filled(set, way int) {
+	w.settle()
+	w.pending, w.set, w.way = true, set, way
+}
+
+// finish settles the last fill and requires the clock to have run past
+// the warmup: a measure phase that restarted time ends below it.
+func (w *stampWatch) finish(cfg Config) {
+	w.settle()
+	if w.seen == 0 {
+		w.t.Fatal("probe saw no LLC fills")
+	}
+	if w.last < cfg.Warmup {
+		w.t.Fatalf("last LLC fill stamped %d, below the warmup length %d: measure phase restarted time", w.last, cfg.Warmup)
+	}
+}
+
+// clockProbe wraps LRU as the LLC policy to watch its fill stamps.
+type clockProbe struct {
+	*policy.LRU
+	stampWatch
 }
 
 func (p *clockProbe) Hit(set, way int, a cache.Access) {
-	p.check(a)
+	p.settle()
 	p.LRU.Hit(set, way, a)
 }
 
 func (p *clockProbe) Fill(set, way int, a cache.Access) {
-	p.check(a)
+	p.filled(set, way)
 	p.LRU.Fill(set, way, a)
 }
 
 func TestRunFastMPKIClockMonotonic(t *testing.T) {
-	probe := &clockProbe{t: t}
+	probe := &clockProbe{}
+	probe.watchLLC(t)
 	cfg := shortCfg()
 	cfg.Warmup, cfg.Measure = 50_000, 150_000
 	gen := workload.NewGenerator(seg("gcc_like", 0), workload.CoreBase(0))
@@ -50,39 +93,23 @@ func TestRunFastMPKIClockMonotonic(t *testing.T) {
 		probe.LRU = policy.NewLRU(sets, ways)
 		return probe
 	})
-	if probe.seen == 0 {
-		t.Fatal("probe saw no accesses")
-	}
-	if probe.last < cfg.Warmup {
-		t.Fatalf("clock ended at %d, below the warmup length %d: measure phase restarted time", probe.last, cfg.Warmup)
-	}
+	probe.finish(cfg)
 }
 
-// clockCheckPred wraps a ConfidencePredictor with the same backward-step
-// check: RunROC's probe forwards every access (with its timestamp) to the
-// trained predictor.
+// clockCheckPred wraps a ConfidencePredictor with the same stamp watch:
+// RunROC's probe forwards every LLC hit and fill to the trained predictor.
 type clockCheckPred struct {
 	ConfidencePredictor
-	t    *testing.T
-	last uint64
-	seen int
-}
-
-func (p *clockCheckPred) check(a cache.Access) {
-	p.seen++
-	if a.Now < p.last {
-		p.t.Fatalf("access %d: clock moved backward (%d after %d)", p.seen, a.Now, p.last)
-	}
-	p.last = a.Now
+	stampWatch
 }
 
 func (p *clockCheckPred) Hit(set, way int, a cache.Access) {
-	p.check(a)
+	p.settle()
 	p.ConfidencePredictor.Hit(set, way, a)
 }
 
 func (p *clockCheckPred) Fill(set, way int, a cache.Access) {
-	p.check(a)
+	p.filled(set, way)
 	p.ConfidencePredictor.Fill(set, way, a)
 }
 
@@ -91,7 +118,8 @@ func TestRunROCClockMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &clockCheckPred{t: t}
+	probe := &clockCheckPred{}
+	probe.watchLLC(t)
 	cfg := shortCfg()
 	cfg.Warmup, cfg.Measure = 50_000, 150_000
 	gen := workload.NewGenerator(seg("gcc_like", 0), workload.CoreBase(0))
@@ -102,10 +130,5 @@ func TestRunROCClockMonotonic(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("no samples collected")
 	}
-	if probe.seen == 0 {
-		t.Fatal("probe saw no accesses")
-	}
-	if probe.last < cfg.Warmup {
-		t.Fatalf("clock ended at %d, below the warmup length %d: measure phase restarted time", probe.last, cfg.Warmup)
-	}
+	probe.finish(cfg)
 }

@@ -237,6 +237,11 @@ func (r *batchReader) next() *trace.Record {
 	return rec
 }
 
+// hierarchyHook, when set, sees each hierarchy buildHierarchy wires,
+// before its first access. The clock tests use it to read the ready-at
+// stamps Demand derives from the cycle each run passes.
+var hierarchyHook func(*cache.Hierarchy)
+
 // buildHierarchy wires one core's caches. llc may be shared between cores.
 func buildHierarchy(cfg Config, core int, llc *cache.Cache) *cache.Hierarchy {
 	h := &cache.Hierarchy{
@@ -250,6 +255,9 @@ func buildHierarchy(cfg Config, core int, llc *cache.Cache) *cache.Hierarchy {
 	}
 	if cfg.Prefetch {
 		h.Pf = prefetch.NewStream()
+	}
+	if hierarchyHook != nil {
+		hierarchyHook(h)
 	}
 	return h
 }
@@ -338,9 +346,9 @@ func RunSingle(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 //
 // Untimed runs use the instruction count as the clock passed to the
 // hierarchy. The counter is monotonic across the warmup→measure boundary —
-// resetting it would jump "now" backward and confuse timestamp-ordered
-// state (the prefetcher's stream LRU, the sampler) — while a separate
-// per-phase counter bounds each loop.
+// resetting it would jump "now" backward, below the data-arrival stamps
+// the hierarchy wrote during warmup — while a separate per-phase counter
+// bounds each loop.
 func RunFastMPKI(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 	llc := NewLLC(cfg, pf)
 	h := buildHierarchy(cfg, 0, llc)
