@@ -19,8 +19,9 @@ test: vet
 # Race-detector pass over the concurrent packages: the worker pool, the
 # single-flight caches, the experiment drivers that fan across them, the
 # observability layer their workers all update, the advice server's
-# concurrent client soak, and the core package whose adaptive-duel
-# gauges those concurrent workers now publish.
+# concurrent client soak, the fleet coordinator/worker lease machinery,
+# and the core package whose adaptive-duel gauges those concurrent
+# workers now publish. CI's race job runs this target.
 race:
 	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core
 

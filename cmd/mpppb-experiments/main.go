@@ -20,9 +20,9 @@
 // appended to the file as it finishes, and after an interrupt (Ctrl-C, a
 // crash, a timeout) re-running with -journal FILE -resume skips the
 // completed cells and recomputes only the rest, emitting byte-identical
-// TSVs. -task-timeout and -retries bound and retry individual cells; a
-// cell that fails permanently renders as NaN in its table and the tool
-// exits 3 after listing the failures.
+// TSVs. Every cell runs once: a cell that fails or panics renders as NaN
+// in its table, the tool exits 3 after listing the failures, and a later
+// -resume recomputes it.
 //
 // A running campaign is observable: -listen HOST:PORT serves /metrics
 // (Prometheus text), /status (JSON run manifest with per-cell states and
@@ -243,7 +243,6 @@ func main() {
 			Journal:     jrnl,
 			Status:      status,
 			TTL:         *ttl,
-			Retries:     jf.Retries,
 		})
 		defer board.Close()
 		routes = fleet.Routes(board)
@@ -259,10 +258,8 @@ func main() {
 	defer stop()
 
 	r.opts = &experiments.Run{
-		Ctx:         ctx,
-		Journal:     jrnl,
-		Retries:     jf.Retries,
-		TaskTimeout: jf.Timeout,
+		Ctx:     ctx,
+		Journal: jrnl,
 		// Keep going past a permanently failed cell: the tables render its
 		// slots as NaN and the tool exits 3 after reporting the failures.
 		KeepGoing: true,
@@ -274,8 +271,6 @@ func main() {
 			URL:         *workURL,
 			Fingerprint: fp,
 			Workers:     *j,
-			Retries:     jf.Retries,
-			Timeout:     jf.Timeout,
 			Status:      status,
 		})
 		if err != nil {

@@ -109,7 +109,7 @@ func main() {
 		for _, id := range ids {
 			status.AddCells("roc/" + pred + "/" + id.String())
 		}
-		opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
+		opts := parallel.RunOpts{KeepGoing: true}
 		perSeg, segErrs, err := parallel.MapErr(ctx, opts, len(ids), func(ctx context.Context, i int) (stats.PackedROC, error) {
 			key := "roc/" + pred + "/" + ids[i].String()
 			status.CellRunning(key)

@@ -91,7 +91,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := &experiments.Run{Ctx: ctx, Journal: jrnl, Retries: jf.Retries, TaskTimeout: jf.Timeout, Status: status}
+	opts := &experiments.Run{Ctx: ctx, Journal: jrnl, Status: status}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -157,7 +157,7 @@ func main() {
 	for _, jb := range jobs {
 		status.AddCells("sim/" + jb.id.String() + "/" + jb.pname)
 	}
-	opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
+	opts := parallel.RunOpts{KeepGoing: true}
 	rows, rowErrs, err := parallel.MapErr(ctx, opts, len(jobs), func(ctx context.Context, i int) (rowInfo, error) {
 		jb := jobs[i]
 		key := "sim/" + jb.id.String() + "/" + jb.pname

@@ -128,7 +128,6 @@ func main() {
 			Journal:     jrnl,
 			Status:      status,
 			TTL:         *ttl,
-			Retries:     jf.Retries,
 		})
 		defer board.Close()
 		routes = fleet.Routes(board)
@@ -197,8 +196,7 @@ func main() {
 	case *workURL != "":
 		var wk *fleet.Worker
 		wk, err = fleet.NewWorker(fleet.WorkerConfig{
-			URL: *workURL, Fingerprint: fp, Workers: *j,
-			Retries: jf.Retries, Timeout: jf.Timeout, Status: status,
+			URL: *workURL, Fingerprint: fp, Workers: *j, Status: status,
 		})
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "mpppb-sweep: fleet worker %s leasing from %s\n", wk.ID(), *workURL)
@@ -216,7 +214,7 @@ func main() {
 			results = decode(raws)
 		}
 	default:
-		opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
+		opts := parallel.RunOpts{KeepGoing: true}
 		results, cellErrs, err = parallel.MapErr(ctx, opts, len(cells), func(ctx context.Context, i int) (mpppb.Result, error) {
 			k := keys[i]
 			status.CellRunning(k)

@@ -274,7 +274,7 @@ func main() {
 		for _, pname := range pols {
 			status.AddCells("replay/" + hash + "/" + strings.TrimSpace(pname))
 		}
-		opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
+		opts := parallel.RunOpts{KeepGoing: true}
 		results, polErrs, err := parallel.MapErr(ctx, opts, len(pols), func(ctx context.Context, i int) (replayRes, error) {
 			pname := strings.TrimSpace(pols[i])
 			key := "replay/" + hash + "/" + pname

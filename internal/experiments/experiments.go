@@ -33,7 +33,7 @@ var (
 	mCellsJournal = obs.Default().Counter("mpppb_experiments_cells_journal_total",
 		"cells served from the checkpoint journal instead of recomputed")
 	mCellsFailed = obs.Default().Counter("mpppb_experiments_cells_failed_total",
-		"cells that exhausted their attempts and render as NaN")
+		"cells that failed or panicked and render as NaN")
 	mCellSeconds = obs.Default().Histogram("mpppb_experiments_cell_seconds",
 		"wall time per computed cell", obs.LatencyBuckets)
 	mDegenerateGeoMean = obs.Default().Counter("mpppb_experiments_degenerate_geomean_inputs_total",
@@ -81,7 +81,7 @@ func (t *tracker) step(format string, args ...any) {
 }
 
 // Run carries the execution policy for one experiment invocation:
-// cancellation, checkpointing, pool sizing, retry/timeout behavior, and
+// cancellation, checkpointing, pool sizing, failure handling, and
 // progress reporting. A nil *Run means "all defaults" — background
 // context, no journal, default pool, fail-fast, silent — so existing call
 // sites that used to pass a nil Progress keep working unchanged.
@@ -93,12 +93,7 @@ type Run struct {
 	Journal *journal.Journal
 	// Workers overrides the pool width; 0 uses parallel.Default (-j).
 	Workers int
-	// Retries, Backoff and TaskTimeout configure per-cell fault handling
-	// (see parallel.RunOpts).
-	Retries     int
-	Backoff     time.Duration
-	TaskTimeout time.Duration
-	// KeepGoing degrades gracefully: a cell that exhausts its retries is
+	// KeepGoing degrades gracefully: a cell that fails or panics is
 	// recorded as a FAILED journal entry and an entry in Failures(), its
 	// slots in the result table hold NaN (rendered "NaN" in the TSVs), and
 	// the remaining cells still run. Without it the first failure aborts.
@@ -129,7 +124,7 @@ type Run struct {
 	failures []CellFailure
 }
 
-// CellFailure records one cell that exhausted its attempts.
+// CellFailure records one cell that failed or panicked.
 type CellFailure struct {
 	Key string
 	Err error
@@ -189,9 +184,6 @@ func (r *Run) popts() parallel.RunOpts {
 	}
 	return parallel.RunOpts{
 		Workers:   r.Workers,
-		Retries:   r.Retries,
-		Backoff:   r.Backoff,
-		Timeout:   r.TaskTimeout,
 		KeepGoing: r.KeepGoing,
 	}
 }
@@ -218,11 +210,10 @@ func (r *Run) Failures() []CellFailure {
 
 // runCells executes one cell grid: for each key, either serve the cell
 // from the journal or compute and journal it, fanning across the pool per
-// the Run's options. It is the single choke point where checkpointing,
-// retry, timeout, and failure accounting meet, so every experiment driver
-// gets identical fault semantics. Cancellation errors are never recorded
-// as cell failures — an interrupted cell is simply absent and recomputes
-// on resume.
+// the Run's options. It is the single choke point where checkpointing and
+// failure accounting meet, so every experiment driver gets identical fault
+// semantics. Cancellation errors are never recorded as cell failures — an
+// interrupted cell is simply absent and recomputes on resume.
 func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	if r != nil && r.Fleet != nil {
 		return runCellsCoordinator[T](r, keys)
@@ -249,8 +240,8 @@ func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i 
 		t0 := time.Now()
 		v, cerr := compute(ctx, i)
 		if cerr != nil {
-			// Not marked failed here: parallel may still retry this cell.
-			// Permanent failures are settled below, after MapErr returns.
+			// Failures (panics included, which MapErr captures) are
+			// settled below, after MapErr returns.
 			return v, cerr
 		}
 		if rerr := j.Record(keys[i], v); rerr != nil {
@@ -311,10 +302,9 @@ func runCellsCoordinator[T any](r *Run, keys []string) ([]T, []error, error) {
 }
 
 // runCellsWorker runs one grid in fleet-worker mode: lease cells from the
-// coordinator, compute them locally (with the Run's retry/timeout policy),
-// upload results, and — once the coordinator reports the grid drained —
-// fetch every cell so this process can emit the same tables the
-// coordinator does. No local journal is written; the coordinator owns it.
+// coordinator, compute each once locally, upload results, and — once the
+// coordinator reports the grid drained — fetch every cell so this process
+// can emit the same tables the coordinator does. No local journal is written; the coordinator owns it.
 func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	trk := r.prog().tracker(len(keys))
 	st := r.status()

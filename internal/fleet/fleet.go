@@ -11,11 +11,10 @@
 // Fault model. A lease carries a heartbeat deadline; a worker renews the
 // leases it holds, and the coordinator's sweeper returns any cell whose
 // lease expires to the pending pool for a fresh worker — kill -9 of a
-// worker costs only the wall time of its in-flight cells. Failures a
-// worker reports explicitly are classified with the worker pool's retry
-// rules (parallel.Retryable): retryable failures re-pend the cell up to
-// the coordinator's attempt budget, terminal ones mark it failed exactly
-// as a local run would. Because cell values are deterministic, a
+// worker costs only the wall time of its in-flight cells. A failure a
+// worker reports explicitly is terminal: cell values are deterministic, so
+// another worker would only fail identically, and the cell is marked
+// failed exactly as a local run would mark it. For the same reason a
 // completion arriving after its lease expired is still merged (first
 // completion wins; later duplicates are dropped idempotently), while a
 // malformed or truncated payload is refused outright.
@@ -85,7 +84,6 @@ type boardCell struct {
 	worker   string
 	granted  time.Time
 	deadline time.Time
-	attempts int // explicit retryable failures consumed (expiries are free)
 	value    json.RawMessage
 	errMsg   string
 	errFrom  string
@@ -105,10 +103,6 @@ type BoardConfig struct {
 	Status *obs.RunStatus
 	// TTL is the lease heartbeat deadline; 0 means DefaultTTL.
 	TTL time.Duration
-	// Retries is the per-cell budget of explicit retryable failures before
-	// the cell is marked permanently failed (lease expiries never consume
-	// it — a dead worker is not the cell's fault).
-	Retries int
 }
 
 // Board is the coordinator's authoritative cell grid: which cells exist,
@@ -387,12 +381,10 @@ func (b *Board) Complete(worker, key string, leaseID uint64, raw json.RawMessage
 	return nil
 }
 
-// Fail records a worker-reported failure. A retryable failure re-pends the
-// cell while the board's attempt budget lasts (the same classification the
-// worker pool's MapErr uses locally); a terminal one — or an exhausted
-// budget — marks the cell permanently failed, exactly like a local cell
-// that ran out of retries.
-func (b *Board) Fail(worker, key string, leaseID uint64, msg string, retryable bool, fp journal.Fingerprint) error {
+// Fail records a worker-reported failure. It is always terminal: the cell
+// is marked permanently failed, exactly like a local cell that failed or
+// panicked, and is never leased again in this run.
+func (b *Board) Fail(worker, key string, leaseID uint64, msg string, fp journal.Fingerprint) error {
 	if err := b.checkFingerprint(fp); err != nil {
 		return err
 	}
@@ -405,15 +397,6 @@ func (b *Board) Fail(worker, key string, leaseID uint64, msg string, retryable b
 	}
 	if c.status == cellDone || c.status == cellFailed {
 		mDuplicateCompletions.Inc()
-		return nil
-	}
-	if retryable && c.attempts < b.cfg.Retries {
-		c.attempts++
-		c.status = cellPending
-		c.worker = ""
-		mCellsReassigned.Inc()
-		b.cfg.Status.CellRequeued(key)
-		b.broadcast()
 		return nil
 	}
 	c.status = cellFailed

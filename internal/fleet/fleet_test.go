@@ -15,7 +15,6 @@ import (
 
 	"mpppb/internal/journal"
 	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
 )
 
 var testFP = journal.Fingerprint{Config: "cafef00d", Version: "test", Seed: 42}
@@ -35,13 +34,13 @@ func computeVal(keys []string) func(ctx context.Context, i int) (any, error) {
 
 // newTestFleet builds a board (with journal) and an HTTP server exposing
 // its work-lease API.
-func newTestFleet(t *testing.T, ttl time.Duration, retries int) (*Board, *journal.Journal, *httptest.Server) {
+func newTestFleet(t *testing.T, ttl time.Duration) (*Board, *journal.Journal, *httptest.Server) {
 	t.Helper()
 	j, err := journal.Create(filepath.Join(t.TempDir(), "run.journal"), testFP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBoard(BoardConfig{Fingerprint: testFP, Journal: j, TTL: ttl, Retries: retries})
+	b := NewBoard(BoardConfig{Fingerprint: testFP, Journal: j, TTL: ttl})
 	mux := http.NewServeMux()
 	for _, rt := range Routes(b) {
 		mux.Handle(rt.Pattern, rt.Handler)
@@ -67,7 +66,7 @@ func newTestWorker(t *testing.T, url, id string, lanes int) *Worker {
 // by a coordinator and two workers yields, at every party, byte-for-byte
 // the values a single process would compute.
 func TestFleetMatchesLocal(t *testing.T) {
-	b, j, srv := newTestFleet(t, time.Second, 0)
+	b, j, srv := newTestFleet(t, time.Second)
 
 	keys := make([]string, 12)
 	for i := range keys {
@@ -141,7 +140,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 // TestCoordinateServesJournal: a fully-journaled grid resolves with no
 // workers at all, marking every cell as served from the journal.
 func TestCoordinateServesJournal(t *testing.T) {
-	b, j, _ := newTestFleet(t, time.Second, 0)
+	b, j, _ := newTestFleet(t, time.Second)
 	keys := []string{"a", "b", "c"}
 	for i, k := range keys {
 		if err := j.Record(k, cellVal{Key: k, N: i}); err != nil {
@@ -174,7 +173,7 @@ func TestCoordinateServesJournal(t *testing.T) {
 // (kill -9) loses the lease at the deadline; the cell re-pends and a live
 // worker gets it. The dead worker's renewals are refused afterwards.
 func TestLeaseExpiryReassignment(t *testing.T) {
-	b, _, _ := newTestFleet(t, 50*time.Millisecond, 0)
+	b, _, _ := newTestFleet(t, 50*time.Millisecond)
 	b.Add("x")
 
 	expired0 := mLeasesExpired.Value()
@@ -207,7 +206,7 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 
 // TestCompletionResolution covers the duplicate/stale/refusal ladder.
 func TestCompletionResolution(t *testing.T) {
-	b, j, _ := newTestFleet(t, 50*time.Millisecond, 0)
+	b, j, _ := newTestFleet(t, 50*time.Millisecond)
 	b.Add("x")
 	_, staleID, _, _, _, err := b.Lease("w1", testFP, []string{"x"})
 	if err != nil {
@@ -259,50 +258,31 @@ func TestCompletionResolution(t *testing.T) {
 	}
 }
 
-// TestFailRetryBudget: retryable failures re-pend the cell until the
-// board's budget runs out; non-retryable ones fail immediately.
-func TestFailRetryBudget(t *testing.T) {
-	b, _, _ := newTestFleet(t, time.Second, 1)
-	b.Add("x", "y")
+// TestFailIsTerminal: the first reported failure fails the cell for good —
+// Await yields its CellError and the cell is never leased again.
+func TestFailIsTerminal(t *testing.T) {
+	b, _, _ := newTestFleet(t, time.Second)
+	b.Add("x")
 
-	// x: two retryable failures — the first re-pends, the second (budget
-	// exhausted) fails permanently.
 	_, id, _, _, _, _ := b.Lease("w", testFP, []string{"x"})
-	if err := b.Fail("w", "x", id, "flaky", true, testFP); err != nil {
-		t.Fatal(err)
-	}
-	key, id, _, granted, _, _ := b.Lease("w", testFP, []string{"x"})
-	if !granted || key != "x" {
-		t.Fatal("retryable failure did not re-pend the cell")
-	}
-	if err := b.Fail("w", "x", id, "flaky again", true, testFP); err != nil {
+	if err := b.Fail("w", "x", id, "broken", testFP); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := b.Await(ctx, "x"); err == nil {
-		t.Fatal("exhausted budget should fail the cell")
-	} else {
-		var ce *CellError
-		if !errors.As(err, &ce) {
-			t.Fatalf("want CellError, got %v", err)
-		}
+	var ce *CellError
+	if _, err := b.Await(ctx, "x"); !errors.As(err, &ce) {
+		t.Fatalf("Await after /fail = %v, want CellError", err)
 	}
-
-	// y: one non-retryable failure is final despite the budget.
-	_, id, _, _, _, _ = b.Lease("w", testFP, []string{"y"})
-	if err := b.Fail("w", "y", id, "broken", false, testFP); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Await(ctx, "y"); err == nil {
-		t.Fatal("non-retryable failure should be final")
+	if key, _, _, granted, drained, _ := b.Lease("w2", testFP, []string{"x"}); granted || !drained {
+		t.Fatalf("failed cell leased again: key=%q granted=%v drained=%v", key, granted, drained)
 	}
 }
 
 // TestFingerprintMismatch: a worker built differently is answered 409 and
 // gives up at once rather than polling forever.
 func TestFingerprintMismatch(t *testing.T) {
-	_, _, srv := newTestFleet(t, time.Second, 0)
+	_, _, srv := newTestFleet(t, time.Second)
 	w, err := NewWorker(WorkerConfig{
 		URL: srv.URL, ID: "stranger",
 		Fingerprint: journal.Fingerprint{Config: "deadbeef", Version: "other", Seed: 7},
@@ -323,7 +303,7 @@ func TestFingerprintMismatch(t *testing.T) {
 // HTTP: a worker leases a cell and vanishes without renewing; the sweeper
 // expires the lease and a live worker finishes the campaign.
 func TestWorkerDiesMidCampaign(t *testing.T) {
-	b, _, srv := newTestFleet(t, 150*time.Millisecond, 0)
+	b, _, srv := newTestFleet(t, 150*time.Millisecond)
 	keys := []string{"a", "b", "c", "d"}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -375,7 +355,7 @@ func TestWorkerDiesMidCampaign(t *testing.T) {
 // surfaces as a per-cell error at both coordinator and worker, with the
 // rest of the grid unharmed.
 func TestWorkerReportsPermanentFailure(t *testing.T) {
-	b, _, srv := newTestFleet(t, time.Second, 0)
+	b, _, srv := newTestFleet(t, time.Second)
 	keys := []string{"good", "bad"}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -408,48 +388,6 @@ func TestWorkerReportsPermanentFailure(t *testing.T) {
 	<-coordDone
 	if cerrs[1] == nil {
 		t.Fatal("coordinator missed the permanent failure")
-	}
-}
-
-// TestWorkerRetryableComputeRetriesLocally: a transient error consumes the
-// worker's local retry budget (parallel.Transient classification) without
-// bouncing the cell back to the coordinator.
-func TestWorkerRetryableComputeRetriesLocally(t *testing.T) {
-	b, _, srv := newTestFleet(t, time.Second, 0)
-	keys := []string{"flaky"}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	go Coordinate(ctx, b, keys, nil)
-
-	w, err := NewWorker(WorkerConfig{
-		URL: srv.URL, ID: "w", Fingerprint: testFP,
-		Workers: 1, Retries: 2, Backoff: time.Millisecond,
-		Poll: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	attempts := 0
-	raws, errs, runErr := w.Run(ctx, keys, func(_ context.Context, _ int) (any, error) {
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n < 3 {
-			return nil, parallel.Transient(errors.New("cosmic ray"))
-		}
-		return cellVal{Key: "flaky", N: 1}, nil
-	})
-	if runErr != nil || errs[0] != nil {
-		t.Fatalf("runErr=%v errs=%v", runErr, errs)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-	var v cellVal
-	if json.Unmarshal(raws[0], &v) != nil || v.N != 1 {
-		t.Fatalf("raw = %s", raws[0])
 	}
 }
 
@@ -494,7 +432,7 @@ func TestBoardStatusLeases(t *testing.T) {
 // releases it. Workers that stop contacting the board age out of the
 // liveness window instead of pinning the linger forever.
 func TestSettleWorkersLingersForLiveWorkers(t *testing.T) {
-	b, _, srv := newTestFleet(t, 60*time.Millisecond, 0)
+	b, _, srv := newTestFleet(t, 60*time.Millisecond)
 	b.Add("cell/settle")
 
 	// Worker leases and completes the only cell via the HTTP API.

@@ -22,7 +22,7 @@ import (
 //	POST /lease    {worker, fingerprint, keys[]}            → {granted, drained, key?, lease_id?, ttl_ms?}
 //	POST /renew    {worker, fingerprint, key, lease_id}     → {ok}
 //	POST /complete {worker, fingerprint, key, lease_id, value} → {ok}
-//	POST /fail     {worker, fingerprint, key, lease_id, error, retryable} → {ok}
+//	POST /fail     {worker, fingerprint, key, lease_id, error} → {ok}
 //	POST /cells    {worker, fingerprint, keys[]}            → {cells: [{key, status, value?, error?}]}
 
 // maxBodyBytes bounds request bodies. Cell values are small structs; 16MB
@@ -68,7 +68,6 @@ type failRequest struct {
 	Key         string              `json:"key"`
 	LeaseID     uint64              `json:"lease_id"`
 	Error       string              `json:"error"`
-	Retryable   bool                `json:"retryable"`
 }
 
 type cellsRequest struct {
@@ -175,7 +174,7 @@ func Routes(b *Board) []obs.Route {
 			if !decode(w, r, &req) {
 				return
 			}
-			if err := b.Fail(req.Worker, req.Key, req.LeaseID, req.Error, req.Retryable, req.Fingerprint); err != nil {
+			if err := b.Fail(req.Worker, req.Key, req.LeaseID, req.Error, req.Fingerprint); err != nil {
 				fail(w, err)
 				return
 			}

@@ -68,8 +68,8 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 func TestLastEntryWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	j := mustCreate(t, path)
-	// A failure followed by a success on a later attempt: the retry trail
-	// stays in the file, the final state is the success.
+	// A failure followed by a success on a later -resume: the trail stays
+	// in the file, the final state is the success.
 	j.RecordFailure("k", errors.New("first attempt failed"))
 	j.Record("k", cell{IPC: 2})
 	j.Close()
@@ -216,7 +216,7 @@ func TestNilJournalIsDisabled(t *testing.T) {
 // duplicate-key orders a real campaign produces: a cell that succeeded and
 // was later superseded by a failure record (ok→failed: the final state is
 // failed, so resume recomputes it), and a cell that failed and then
-// succeeded on a retry (failed→ok: resume serves the value). The full
+// succeeded when a resume recomputed it (failed→ok: resume serves the value). The full
 // trail stays in the file; only the last entry per key counts.
 func TestDuplicateKeyTrailsAcrossResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
@@ -250,7 +250,7 @@ func TestDuplicateKeyTrailsAcrossResume(t *testing.T) {
 		t.Fatal("ok-then-failed: LoadRaw served a cell whose last entry is failed")
 	}
 	if ok, _ := r.Load("cell/failed-then-ok", &got); !ok || got != (cell{IPC: 2.5, MPKI: 3.25}) {
-		t.Fatalf("failed-then-ok: ok=%v got=%+v, want the retried value", ok, got)
+		t.Fatalf("failed-then-ok: ok=%v got=%+v, want the recomputed value", ok, got)
 	}
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 distinct keys", r.Len())

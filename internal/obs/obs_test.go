@@ -250,7 +250,7 @@ func TestRunStatusLifecycle(t *testing.T) {
 		t.Fatalf("cell states = %v", snap.Cells)
 	}
 
-	// A retried cell finishing twice counts once.
+	// A cell finishing twice counts once.
 	st.CellDone("c", CellFailed, 0)
 	st.CellDone("c", CellOK, time.Second)
 	if got := st.Snapshot(); got.DoneCells != 3 {

@@ -106,9 +106,9 @@ func (s *RunStatus) CellLeased(key, worker string) {
 	s.mu.Unlock()
 }
 
-// CellRequeued returns a dispatched-but-unfinished cell to pending (a
-// fleet lease expired, or a retryable failure earned the cell a fresh
-// assignment). Terminal cells are left untouched.
+// CellRequeued returns a dispatched-but-unfinished cell to pending (its
+// fleet lease expired and the cell awaits a fresh worker). Terminal cells
+// are left untouched.
 func (s *RunStatus) CellRequeued(key string) {
 	if s == nil {
 		return
@@ -131,8 +131,8 @@ func (s *RunStatus) CellDone(key string, state CellState, elapsed time.Duration)
 	s.mu.Lock()
 	prev := s.cells[key]
 	s.setLocked(key, state)
-	// A retried cell can finish twice (fail, then succeed on a later
-	// attempt); count it once.
+	// A cell reported terminal twice (a duplicate report for a cell that
+	// already finished) counts once.
 	if prev != CellOK && prev != CellJournal && prev != CellFailed {
 		s.done++
 		if state != CellJournal {

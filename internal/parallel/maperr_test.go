@@ -6,40 +6,14 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// fastOpts returns opts with a tiny backoff so retry tests run quickly.
-func fastOpts(o RunOpts) RunOpts {
-	if o.Backoff == 0 {
-		o.Backoff = time.Millisecond
-	}
-	return o
-}
-
-func TestMapErrRetryTransientSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	results, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 2}), 1,
-		func(_ context.Context, i int) (int, error) {
-			if calls.Add(1) < 3 {
-				return 0, Transient(errors.New("flaky"))
-			}
-			return 42, nil
-		})
-	if err != nil || errs[0] != nil {
-		t.Fatalf("err=%v errs=%v, want success after retries", err, errs)
-	}
-	if results[0] != 42 || calls.Load() != 3 {
-		t.Fatalf("result %d after %d calls, want 42 after 3", results[0], calls.Load())
-	}
-}
-
+// TestMapErrNonRetryableFailsImmediately: a fail-fast item error is the
+// run's verdict after a single call.
 func TestMapErrNonRetryableFailsImmediately(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("deterministic failure")
-	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 5}), 1,
+	_, errs, err := MapErr(context.Background(), RunOpts{Workers: 1}, 1,
 		func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
 			return 0, boom
@@ -48,30 +22,15 @@ func TestMapErrNonRetryableFailsImmediately(t *testing.T) {
 		t.Fatalf("err=%v errs=%v, want %v", err, errs, boom)
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("%d calls for a non-retryable error, want 1", calls.Load())
+		t.Fatalf("%d calls for a failing item, want 1", calls.Load())
 	}
 }
 
-func TestMapErrRetriesAreBounded(t *testing.T) {
-	var calls atomic.Int64
-	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 3}), 1,
-		func(_ context.Context, i int) (int, error) {
-			calls.Add(1)
-			return 0, Transient(errors.New("always failing"))
-		})
-	if err == nil || errs[0] == nil {
-		t.Fatal("want failure after exhausted retries")
-	}
-	if calls.Load() != 4 { // 1 initial + 3 retries
-		t.Fatalf("%d calls, want 4 (1 + Retries)", calls.Load())
-	}
-}
-
+// TestMapErrPanicNotRetried: a fail-fast panic surfaces as *PanicError
+// after a single call.
 func TestMapErrPanicNotRetried(t *testing.T) {
 	var calls atomic.Int64
-	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 5}), 1,
+	_, errs, err := MapErr(context.Background(), RunOpts{Workers: 1}, 1,
 		func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
 			panic("boom")
@@ -81,46 +40,17 @@ func TestMapErrPanicNotRetried(t *testing.T) {
 		t.Fatalf("err=%v, want *PanicError", err)
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("%d calls for a panic, want 1 (panics never retry)", calls.Load())
-	}
-}
-
-func TestMapErrTimeoutRetried(t *testing.T) {
-	var calls atomic.Int64
-	results, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 1, Timeout: 20 * time.Millisecond}), 1,
-		func(ctx context.Context, i int) (int, error) {
-			if calls.Add(1) == 1 {
-				<-ctx.Done() // hang until the per-attempt deadline fires
-				return 0, ctx.Err()
-			}
-			return 7, nil
-		})
-	if err != nil || errs[0] != nil {
-		t.Fatalf("err=%v errs=%v, want timeout retried to success", err, errs)
-	}
-	if results[0] != 7 || calls.Load() != 2 {
-		t.Fatalf("result %d after %d calls, want 7 after 2", results[0], calls.Load())
-	}
-}
-
-func TestMapErrTimeoutExhaustedIsDeadlineExceeded(t *testing.T) {
-	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Timeout: 10 * time.Millisecond}), 1,
-		func(ctx context.Context, i int) (int, error) {
-			<-ctx.Done()
-			return 0, ctx.Err()
-		})
-	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(errs[0], context.DeadlineExceeded) {
-		t.Fatalf("err=%v errs=%v, want DeadlineExceeded", err, errs)
+		t.Fatalf("%d calls for a panic, want 1", calls.Load())
 	}
 }
 
 func TestMapErrKeepGoingCollectsAllErrors(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		var calls [8]atomic.Int64
 		results, errs, err := MapErr(context.Background(),
 			RunOpts{Workers: workers, KeepGoing: true}, 8,
 			func(_ context.Context, i int) (int, error) {
+				calls[i].Add(1)
 				if i%2 == 1 {
 					return 0, fmt.Errorf("cell %d failed", i)
 				}
@@ -130,6 +60,10 @@ func TestMapErrKeepGoingCollectsAllErrors(t *testing.T) {
 			t.Fatalf("workers=%d: run-level err %v with KeepGoing, want nil", workers, err)
 		}
 		for i := 0; i < 8; i++ {
+			// One attempt per item: a failed cell is not run again.
+			if n := calls[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: cell %d ran %d times, want exactly 1", workers, i, n)
+			}
 			if i%2 == 1 {
 				if errs[i] == nil {
 					t.Fatalf("workers=%d: cell %d error lost", workers, i)
@@ -171,35 +105,5 @@ func TestMapErrCancelReportsCtxError(t *testing.T) {
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want Canceled even with KeepGoing", err)
-	}
-}
-
-func TestRetryableClassification(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("plain"), false},
-		{Transient(errors.New("flaky")), true},
-		{fmt.Errorf("wrapped: %w", Transient(errors.New("flaky"))), true},
-		{context.DeadlineExceeded, true},
-		{context.Canceled, false},
-		{&PanicError{Value: "boom"}, false},
-	}
-	for _, c := range cases {
-		if got := Retryable(c.err); got != c.want {
-			t.Errorf("Retryable(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
-
-func TestTransientUnwraps(t *testing.T) {
-	base := errors.New("base")
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) must be nil")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Fatal("Transient must unwrap to the base error")
 	}
 }

@@ -7,17 +7,15 @@ import "mpppb/internal/obs"
 // path inside the tasks never sees them.
 var (
 	mTasksStarted = obs.Default().Counter("mpppb_parallel_tasks_started_total",
-		"tasks dispatched to the worker pool (attempts are counted separately)")
+		"tasks dispatched to the worker pool (each runs exactly once)")
 	mTasksCompleted = obs.Default().Counter("mpppb_parallel_tasks_completed_total",
 		"tasks that finished without error")
-	mTasksRetried = obs.Default().Counter("mpppb_parallel_tasks_retried_total",
-		"extra attempts granted to retryable task failures")
 	mTasksFailed = obs.Default().Counter("mpppb_parallel_tasks_failed_total",
-		"tasks whose final attempt returned an error")
+		"tasks that returned an error or panicked")
 	mQueueDepth = obs.Default().Gauge("mpppb_parallel_queue_depth",
 		"items not yet dispatched across all active MapErr calls")
 	mInflight = obs.Default().Gauge("mpppb_parallel_tasks_inflight",
-		"task attempts currently executing")
+		"tasks currently executing")
 	mTaskSeconds = obs.Default().Histogram("mpppb_parallel_task_seconds",
-		"wall time per task (all attempts, including backoff)", obs.LatencyBuckets)
+		"wall time per task", obs.LatencyBuckets)
 )

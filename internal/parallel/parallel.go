@@ -20,7 +20,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -93,71 +92,22 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 	return results, err
 }
 
-// RunOpts configures the fault-handling behavior of MapErr. The zero value
-// reproduces MapCtx exactly: default pool width, fail-fast, no retries, no
-// per-item timeout.
+// RunOpts configures the failure handling of MapErr. The zero value
+// reproduces MapCtx exactly: default pool width, fail-fast. Every item
+// runs exactly once: the simulations are deterministic, so a fresh attempt
+// at a failed item would only fail identically.
 type RunOpts struct {
 	// Workers is the pool width; <= 0 uses Default(), 1 runs serially on
 	// the calling goroutine.
 	Workers int
-	// Retries is the number of extra attempts granted to an item whose
-	// error is Retryable (panics and parent-context cancellation never
-	// are). 0 disables retry.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt;
-	// <= 0 uses a 250ms default. The sleep aborts early if the parent
-	// context is cancelled.
-	Backoff time.Duration
-	// Timeout bounds each attempt with a context deadline. The function
-	// must honor its ctx for this to interrupt it; the resulting
-	// context.DeadlineExceeded is retryable. 0 means no per-item bound.
-	Timeout time.Duration
 	// KeepGoing runs every item even after failures, reporting them
 	// per-item instead of cancelling the pool — graceful degradation for
 	// drivers that can emit partial results with explicit failure markers.
 	KeepGoing bool
 }
 
-// defaultBackoff is the first-retry sleep when RunOpts.Backoff is unset.
-const defaultBackoff = 250 * time.Millisecond
-
-// transientError marks an error as worth retrying.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Unwrap() error   { return e.err }
-func (e *transientError) Retryable() bool { return true }
-
-// Transient wraps err to mark it retryable under RunOpts.Retries. Use it
-// for failures a fresh attempt can plausibly clear (resource exhaustion,
-// flaky I/O) — deterministic simulation failures retried verbatim would
-// only fail identically.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// Retryable reports whether an item error is worth a fresh attempt: it is
-// marked Transient (or anything else implementing Retryable() bool), or it
-// is a per-attempt deadline expiry. Captured panics are never retryable —
-// the simulators are deterministic, so a panic would simply repeat.
-func Retryable(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	var r interface{ Retryable() bool }
-	if errors.As(err, &r) {
-		return r.Retryable()
-	}
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
 // MapErr is the full-control variant of MapCtx: it returns per-item errors
-// alongside the results, and RunOpts adds bounded retry with backoff,
-// per-attempt timeouts, and keep-going failure handling.
+// alongside the results, and RunOpts adds keep-going failure handling.
 //
 // The returned slices always have length n; items never dispatched (after
 // cancellation or a fail-fast error) keep zero values and nil errors. The
@@ -192,7 +142,7 @@ func MapErr[T any](ctx context.Context, o RunOpts, n int, fn func(ctx context.Co
 		mTasksStarted.Inc()
 		mInflight.Inc()
 		t0 := time.Now()
-		v, err := attempt(ctx, o, fn, i)
+		v, err := call(ctx, fn, i)
 		mInflight.Dec()
 		mTaskSeconds.Observe(time.Since(t0).Seconds())
 		if err != nil {
@@ -259,38 +209,6 @@ func MapErr[T any](ctx context.Context, o RunOpts, n int, fn func(ctx context.Co
 		return results, errs, err
 	}
 	return results, errs, nil
-}
-
-// attempt runs one item with panic capture, per-attempt timeout, and
-// bounded retry with doubling backoff.
-func attempt[T any](ctx context.Context, o RunOpts, fn func(ctx context.Context, i int) (T, error), i int) (T, error) {
-	delay := o.Backoff
-	if delay <= 0 {
-		delay = defaultBackoff
-	}
-	for a := 0; ; a++ {
-		actx, cancel := ctx, func() {}
-		if o.Timeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, o.Timeout)
-		}
-		v, err := call(actx, fn, i)
-		cancel()
-		// Stop on success, exhausted budget, a dead parent context (a
-		// per-attempt deadline with the parent still alive is retryable;
-		// parent cancellation is final), or an error retrying cannot fix.
-		if err == nil || a >= o.Retries || ctx.Err() != nil || !Retryable(err) {
-			return v, err
-		}
-		mTasksRetried.Inc()
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return v, err
-		case <-t.C:
-		}
-		delay *= 2
-	}
 }
 
 // call invokes fn with panic capture.

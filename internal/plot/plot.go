@@ -23,6 +23,7 @@ var markers = []rune{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 
 // Lines renders one or more series on a shared canvas of the given size.
 // Each series draws with its own marker; a legend follows the canvas.
+// NaN points (failed cells) are not drawn.
 func Lines(title string, width, height int, series ...Series) string {
 	if width < 16 {
 		width = 16
@@ -34,6 +35,9 @@ func Lines(title string, width, height int, series ...Series) string {
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	for _, s := range series {
 		for i, y := range s.Y {
+			if math.IsNaN(y) {
+				continue
+			}
 			x := float64(i)
 			if s.X != nil {
 				x = s.X[i]
@@ -59,6 +63,9 @@ func Lines(title string, width, height int, series ...Series) string {
 	for si, s := range series {
 		m := markers[si%len(markers)]
 		for i, y := range s.Y {
+			if math.IsNaN(y) {
+				continue
+			}
 			x := float64(i)
 			if s.X != nil {
 				x = s.X[i]
@@ -85,7 +92,8 @@ func Lines(title string, width, height int, series ...Series) string {
 }
 
 // Bars renders a horizontal bar chart with one row per label. Values may
-// be negative; bars grow from the value closest to zero in range.
+// be negative; bars grow from the value closest to zero in range. A NaN
+// value (a failed cell) gets an empty bar and does not set the range.
 func Bars(title string, width int, labels []string, values []float64) string {
 	if len(labels) != len(values) {
 		panic("plot: labels/values length mismatch")
@@ -101,6 +109,9 @@ func Bars(title string, width int, labels []string, values []float64) string {
 	}
 	minV, maxV := 0.0, 0.0
 	for _, v := range values {
+		if math.IsNaN(v) {
+			continue
+		}
 		minV = math.Min(minV, v)
 		maxV = math.Max(maxV, v)
 	}
@@ -111,7 +122,10 @@ func Bars(title string, width int, labels []string, values []float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	for i, l := range labels {
-		n := int((values[i] - minV) / span * float64(width))
+		n := 0
+		if !math.IsNaN(values[i]) {
+			n = int((values[i] - minV) / span * float64(width))
+		}
 		fmt.Fprintf(&b, "  %-*s │%-*s %.4f\n", maxLabel, l, width, strings.Repeat("█", n), values[i])
 	}
 	return b.String()

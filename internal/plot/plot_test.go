@@ -1,6 +1,7 @@
 package plot
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -90,4 +91,24 @@ func TestSCurveSortsWithoutMutating(t *testing.T) {
 	if in[0] != 3 || in[1] != 1 {
 		t.Fatal("SCurve mutated the input")
 	}
+}
+
+// TestChartsSkipNaN: a failed cell renders as NaN in its table, and the
+// charts drawn from that table must neither panic nor let the NaN set the
+// scale.
+func TestChartsSkipNaN(t *testing.T) {
+	nan := math.NaN()
+	out := Bars("bars", 10, []string{"ok", "failed"}, []float64{1, nan})
+	lines := strings.Split(out, "\n")
+	if strings.Count(lines[1], "█") != 10 || strings.Count(lines[2], "█") != 0 || !strings.Contains(lines[2], "NaN") {
+		t.Fatalf("NaN bar malformed:\n%s", out)
+	}
+	out = Lines("lines", 20, 5, Series{Name: "s", Y: []float64{1, nan, 3}})
+	if !strings.Contains(out, "3.000") || !strings.Contains(out, "1.000") {
+		t.Fatalf("NaN point leaked into the range:\n%s", out)
+	}
+	if out := Lines("lines", 20, 5, Series{Name: "s", Y: []float64{nan}}); !strings.Contains(out, "no data") {
+		t.Fatalf("all-NaN series should render as no data:\n%s", out)
+	}
+	SCurve("s", 20, 5, Series{Name: "s", Y: []float64{2, nan, 1}})
 }
