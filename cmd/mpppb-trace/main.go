@@ -13,8 +13,7 @@
 // -ingest converts externally collected CSV or JSONL traces (format
 // auto-detected, or forced with -format) to the binary format with strict
 // parse errors; the resulting file runs anywhere a benchmark name is
-// accepted via the trace:<path> workload family. -import is the older
-// CSV-only spelling of the same conversion.
+// accepted via the trace:<path> workload family.
 //
 // Replays checkpoint with -journal FILE; entries are keyed by a content
 // hash of the trace, so -resume refuses to reuse results if the trace
@@ -55,7 +54,6 @@ func main() {
 		replay   = flag.String("replay", "", "trace file to simulate")
 		ingest   = flag.String("ingest", "", "external text trace (CSV/JSONL) to convert to binary (with -o)")
 		format   = flag.String("format", "auto", "-ingest input format: auto, csv or jsonl")
-		imp      = flag.String("import", "", "CSV trace to convert to binary (with -o); older spelling of -ingest -format csv")
 		export   = flag.String("export", "", "binary trace to dump as CSV to stdout")
 		policies = flag.String("policy", "lru,mpppb", "policies for -replay")
 		warmup   = flag.Uint64("warmup", sim.DefaultWarmup, "warmup instructions for -replay")
@@ -77,11 +75,8 @@ func main() {
 	defer obsStop()
 
 	switch {
-	case *ingest != "" || *imp != "":
-		src, ffmt := *ingest, *format
-		if src == "" {
-			src, ffmt = *imp, "csv"
-		}
+	case *ingest != "":
+		src := *ingest
 		if *out == "" {
 			fatal("need -o with -ingest")
 		}
@@ -89,7 +84,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		f, err := trace.ParseFormat(ffmt)
+		f, err := trace.ParseFormat(*format)
 		if err != nil {
 			fatal("%v", err)
 		}

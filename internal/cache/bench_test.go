@@ -34,7 +34,7 @@ func filledCache() *cache.Cache {
 			}
 			c.Access(cache.Access{
 				PC:   0x400000 + uint64(w)*4,
-				Addr: (uint64(w*benchSets+set)) << trace.BlockBits,
+				Addr: (uint64(w*benchSets + set)) << trace.BlockBits,
 				Type: typ,
 			})
 		}

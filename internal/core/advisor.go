@@ -104,11 +104,9 @@ func (v *Advisor) Predict(a cache.Access, set int, insert bool) int {
 }
 
 // predictAndTrain computes the confidence for the access and, if the set is
-// sampled, performs the sampler access that trains the tables. Only that
-// training reads the index vector, so unsampled sets predict without the
-// per-feature idx store.
+// sampled, performs the sampler access that trains the tables.
 func (v *Advisor) predictAndTrain(a cache.Access, set int, insert bool) int {
-	conf := v.pred.predict(a, set, insert, v.sampler.sampledSet(set) >= 0)
+	conf := v.pred.predict(a, set, insert)
 	v.train(a, set, conf)
 	return conf
 }
@@ -167,7 +165,7 @@ func (v *Advisor) AdviseMiss(a cache.Access, set int, mayBypass bool) Advice {
 		return Advice{Bypass: true}
 	}
 	v.duelVote(set)
-	conf := v.pred.predict(a, set, true, v.sampler.sampledSet(set) >= 0)
+	conf := v.pred.predict(a, set, true)
 	v.train(a, set, conf)
 	ts := v.thresholdsFor(set)
 	if mayBypass && v.params.BypassEnabled && conf > ts.Tau0 {

@@ -147,22 +147,6 @@ func ParseFeature(s string) (Feature, error) {
 	return f, nil
 }
 
-// ParseFeatureSet parses a whitespace- or comma-separated list of features.
-func ParseFeatureSet(s string) ([]Feature, error) {
-	var out []Feature
-	for _, tok := range strings.Fields(strings.ReplaceAll(s, ";", " ")) {
-		f, err := ParseFeature(tok)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: empty feature set")
-	}
-	return out, nil
-}
-
 // Validate checks parameter ranges. Offset features may declare E beyond
 // the block-offset width — published feature sets do, e.g. Table 1(b)'s
 // offset(15,3,7,0) — and the effective range is clamped once at
@@ -260,9 +244,8 @@ func extractBits(v uint64, b, e int) uint64 {
 	return v & (uint64(1)<<uint(width) - 1)
 }
 
-// Input is the per-access information features are computed from. The
-// predictor assembles it from the access, its own per-core history, and
-// per-set metadata.
+// Input is the per-access information features are computed from: the
+// access, the requesting core's PC history, and per-set metadata.
 type Input struct {
 	// PC is the current memory instruction's address (trace.PrefetchPC
 	// for prefetches).
@@ -271,8 +254,8 @@ type Input struct {
 	Addr uint64
 	// History holds recent memory-access PCs; History[0] is the current
 	// PC, History[w] the w-th most recent before it. Only the reference
-	// Feature.Index reads it — the predictor's compiled kernels read the
-	// per-core history ring directly, so its hot path never fills this.
+	// Feature.Index reads it: Predictor.predict reads the per-core history
+	// ring directly and never builds an Input.
 	History [MaxW + 1]uint64
 	// Insert is true when the access is an insertion (a miss).
 	Insert bool
@@ -284,8 +267,8 @@ type Input struct {
 }
 
 // Index computes the feature's table index for an access. This is the
-// reference implementation the compiled kernels are verified against; the
-// predictor itself evaluates kernels (see kernel.go).
+// reference implementation Predictor.predict is verified against; the
+// predictor itself runs compiled kernels (see kernel.go).
 func (f Feature) Index(in *Input) uint32 {
 	bits := f.IndexBits()
 	var raw uint64
@@ -325,16 +308,6 @@ func (f Feature) Index(in *Input) uint32 {
 // is beyond this feature's associativity, i.e. would have missed in a
 // cache of associativity A.
 func (f Feature) dead(pos int) bool { return pos >= f.A }
-
-// FormatFeatureSet renders features one per line in the paper's notation.
-func FormatFeatureSet(fs []Feature) string {
-	var b strings.Builder
-	for _, f := range fs {
-		b.WriteString(f.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
 
 // accessPC returns the PC to use for an access (prefetches carry the fake
 // PC already, so this is the identity today; kept for clarity at call

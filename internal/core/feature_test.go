@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,19 +45,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := ParseFeature(s); err == nil {
 			t.Errorf("ParseFeature(%q) succeeded", s)
 		}
-	}
-}
-
-func TestParseFeatureSet(t *testing.T) {
-	fs, err := ParseFeatureSet("bias(16,0) burst(6,0)\ninsert(8,1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 3 {
-		t.Fatalf("parsed %d features", len(fs))
-	}
-	if _, err := ParseFeatureSet("   "); err == nil {
-		t.Fatal("empty set parsed")
 	}
 }
 
@@ -254,13 +240,6 @@ func TestExtractBits(t *testing.T) {
 	}
 	if got := extractBits(1, 64, 70); got != 0 {
 		t.Fatalf("beyond word = %#x", got)
-	}
-}
-
-func TestFormatFeatureSet(t *testing.T) {
-	out := FormatFeatureSet(SingleThreadSetA())
-	if !strings.Contains(out, "bias(16,0)") || strings.Count(out, "\n") != 16 {
-		t.Fatalf("FormatFeatureSet output malformed:\n%s", out)
 	}
 }
 

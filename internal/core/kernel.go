@@ -1,87 +1,23 @@
 package core
 
-import (
-	"mpppb/internal/trace"
-)
-
 // Compiled feature kernels. Feature.Index is the readable reference
 // implementation: on every access it re-derives the table width, re-clamps
 // the offset bit range, and switches on the feature kind. None of that
 // depends on the access, so NewPredictor compiles each feature into a
-// kernel once — operands resolved, offset range clamped, fold width fixed,
-// and the feature's weight table located by offset into one contiguous
-// array — and the per-access path just executes it.
-// TestKernelMatchesReferenceIndex proves the two paths agree on random
-// features and inputs.
+// fastKernel once — operand slot resolved, offset range clamped, fold width
+// fixed, and the feature's weight table located by offset into one
+// contiguous array — and Predictor.predict just executes it.
+// TestKernelMatchesReferenceIndex proves predict agrees with Feature.Index
+// plus a plain summed-weights loop on random feature sets and inputs.
 
 // History ring geometry: one power-of-two ring of recent PCs per core,
-// holding at least the MaxW entries a pc feature can reach. Kernels read
+// holding at least the MaxW entries a pc feature can reach. predict reads
 // "the w-th most recent PC" straight out of the ring, so predicting copies
 // no history (the reference path materializes a History array per access).
 const (
 	histRingLen  = 32
 	histRingMask = histRingLen - 1
 )
-
-// Kernel op codes, one per distinct raw-value source.
-const (
-	opPC       uint8 = iota // pc with W=0: the current access's PC
-	opHist                  // pc with W>0: the W-th most recent PC
-	opAddr                  // address: the referenced byte address
-	opOffset                // offset: the block offset, pre-clamped range
-	opBias                  // bias: constant 0
-	opBurst                 // burst bit
-	opInsert                // insert bit
-	opLastMiss              // lastmiss bit
-)
-
-// kernel is one feature with every access-independent decision taken.
-type kernel struct {
-	op    uint8
-	xorPC bool   // mix in PC>>2 before folding (the X parameter)
-	bits  uint8  // fold width, == Feature.IndexBits()
-	w     uint8  // history depth for opHist
-	shift uint8  // bit-range start (B; clamped b for opOffset)
-	wmask uint64 // bit-range width mask applied after the shift
-	mask  uint32 // table index mask, TableSize-1
-	base  uint32 // table offset in the predictor's flat weight array
-}
-
-// compileKernel resolves one feature into a kernel. base is the feature's
-// weight-table offset in the flat array.
-func compileKernel(f Feature, base uint32) kernel {
-	k := kernel{
-		xorPC: f.X,
-		bits:  uint8(f.IndexBits()),
-		mask:  uint32(f.TableSize() - 1),
-		base:  base,
-	}
-	switch f.Kind {
-	case KindPC:
-		k.op = opPC
-		if f.W > 0 {
-			k.op = opHist
-			k.w = uint8(f.W)
-		}
-		k.shift, k.wmask = uint8(f.B), widthMask(f.B, f.E)
-	case KindAddress:
-		k.op = opAddr
-		k.shift, k.wmask = uint8(f.B), widthMask(f.B, f.E)
-	case KindOffset:
-		b, e := f.offsetRange()
-		k.op = opOffset
-		k.shift, k.wmask = uint8(b), widthMask(b, e)
-	case KindBias:
-		k.op = opBias
-	case KindBurst:
-		k.op = opBurst
-	case KindInsert:
-		k.op = opInsert
-	case KindLastMiss:
-		k.op = opLastMiss
-	}
-	return k
-}
 
 // widthMask returns the mask that retains bits b..e after bit b has been
 // shifted to position 0, matching extractBits.
@@ -90,48 +26,6 @@ func widthMask(b, e int) uint64 {
 		return uint64(1)<<uint(width) - 1
 	}
 	return ^uint64(0)
-}
-
-// index computes the feature's table index for an access: the precompiled
-// equivalent of Feature.Index. hist and head locate the requesting core's
-// history ring; in.PC plays History[0]'s role, exactly as buildInput
-// guaranteed on the reference path.
-func (k *kernel) index(in *Input, hist *[histRingLen]uint64, head uint32) uint32 {
-	var raw uint64
-	switch k.op {
-	case opPC:
-		raw = (in.PC >> k.shift) & k.wmask
-	case opHist:
-		raw = (hist[(head+uint32(k.w)-1)&histRingMask] >> k.shift) & k.wmask
-	case opAddr:
-		raw = (in.Addr >> k.shift) & k.wmask
-	case opOffset:
-		raw = ((in.Addr & (trace.BlockSize - 1)) >> k.shift) & k.wmask
-	case opBurst:
-		if in.Burst {
-			raw = 1
-		}
-	case opInsert:
-		if in.Insert {
-			raw = 1
-		}
-	case opLastMiss:
-		if in.LastMiss {
-			raw = 1
-		}
-	}
-	if k.xorPC {
-		raw ^= in.PC >> 2
-	}
-	// Values that already fit the table fold to themselves (this is also
-	// the only possibility for bits == 0, where raw is always 0).
-	if raw>>k.bits == 0 {
-		return uint32(raw)
-	}
-	if k.bits == 8 {
-		return fold8(raw)
-	}
-	return foldTo(raw, int(k.bits))
 }
 
 // fold8 xor-folds a 64-bit value to 8 bits without foldTo's data-dependent
@@ -143,10 +37,8 @@ func fold8(v uint64) uint32 {
 	return uint32(v & 0xff)
 }
 
-// Branch-light kernel form. kernel.index dispatches on the op code with an
-// eight-way switch per feature; the hot loop in computeIndices instead uses
-// a second compiled representation in which every feature is the same
-// straight-line expression
+// Branch-light kernel form. Every feature is the same straight-line
+// expression
 //
 //	raw = (srcs[src] >> shift) & wmask; raw ^= pcMix & xmask
 //
@@ -157,8 +49,8 @@ func fold8(v uint64) uint32 {
 // DISTINCT pc-history depth used by the feature set, materialized from the
 // ring once per prediction instead of once per feature. The xor-mix is a
 // mask select (xmask is all-ones when the feature's X parameter is set),
-// so the loop body carries no data-dependent branches except the shared
-// fold test.
+// so the loop body carries no per-kind dispatch and no data-dependent
+// branches except the shared fold test.
 type fastKernel struct {
 	src   uint8  // source-vector slot
 	shift uint8  // bit-range start
@@ -258,10 +150,10 @@ func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32)
 	return ks, histOffs
 }
 
-// Bit-parallel (SWAR) confidence summation. The reference loop accumulates
-// the per-feature int8 weights through a loop-carried scalar add — each
-// `sum += int(weights[...])` waits on the previous one. The hot path
-// instead gathers the weights into a staging vector of uint64 lane words,
+// Bit-parallel (SWAR) confidence summation. A plain loop accumulates the
+// per-feature int8 weights through a loop-carried scalar add — each
+// `sum += int(weights[...])` waits on the previous one. predict instead
+// gathers the weights into a staging vector of uint64 lane words,
 // eight biased bytes per word, and reduces the whole vector with a handful
 // of word-wide adds at the end, so the gathers are independent loads and
 // the dependent chain is O(words) instead of O(features).
@@ -274,9 +166,9 @@ func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32)
 // only the features actually gathered.
 
 // laneWords is the staging-vector capacity in uint64 words; at 8 byte
-// lanes per word it covers feature sets up to laneWords*8 features.
-// Larger sets (nothing in the repository ships one) fall back to the
-// scalar reference summation.
+// lanes per word it covers feature sets up to laneWords*8 features, the
+// same 64-feature limit the sampler's per-position masks impose;
+// NewPredictor rejects larger sets.
 const laneWords = 8
 
 // weightBias is the per-byte offset that maps int8 weights onto

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,83 +11,178 @@ import (
 	"mpppb/internal/xrand"
 )
 
-// ringFromInput lays an Input's History array out as the predictor's ring
-// would hold it: History[w] is the w-th most recent PC, so it lives w-1
-// slots past the head (History[0] is the current PC, which kernels take
-// from in.PC instead of the ring).
-func ringFromInput(in *Input) (*[histRingLen]uint64, uint32) {
-	var ring [histRingLen]uint64
-	head := uint32(5) // arbitrary; equivalence must hold for any head
-	for w := 1; w <= MaxW; w++ {
-		ring[(head+uint32(w)-1)&histRingMask] = in.History[w]
+// randomFeatureSet builds a valid feature set of the given size mixing all
+// kinds, the way search explores them (offset features may declare E past
+// the block-offset width).
+func randomFeatureSet(rng *xrand.RNG, n int) []Feature {
+	feats := make([]Feature, n)
+	for i := range feats {
+		f := Feature{
+			Kind: Kind(rng.Intn(7)),
+			A:    1 + rng.Intn(MaxA),
+			W:    rng.Intn(MaxW + 1),
+			X:    rng.Bool(),
+		}
+		switch f.Kind {
+		case KindOffset:
+			f.B = rng.Intn(OffsetBits)
+			f.E = f.B + rng.Intn(OffsetBits-f.B+2)
+		case KindPC, KindAddress:
+			f.B = rng.Intn(40)
+			f.E = f.B + rng.Intn(24)
+		}
+		feats[i] = f
 	}
-	return &ring, head
+	return feats
 }
 
-// TestKernelMatchesReferenceIndex proves the compiled kernels compute
-// exactly what the reference Feature.Index computes, over random features
-// (including offset features with out-of-range E, as search generates) and
-// random inputs.
+// scrambleState randomizes every predictor input source: weights across
+// the full 6-bit range, history rings, ring heads, and per-set metadata.
+func scrambleState(p *Predictor, rng *xrand.RNG) {
+	for i := range p.weights {
+		p.weights[i] = int8(WeightMin + rng.Intn(WeightMax-WeightMin+1))
+	}
+	for c := range p.hist {
+		for i := range p.hist[c] {
+			p.hist[c][i] = rng.Uint64()
+		}
+		p.heads[c] = uint32(rng.Intn(histRingLen))
+	}
+	for s := range p.setMeta {
+		p.setMeta[s] = setMeta{lastBlock: rng.Uint64() >> 40, flags: uint8(rng.Intn(4))}
+	}
+}
+
+// refInput builds the reference Input for an access from the predictor's
+// own history ring and set metadata: History[w] is the w-th most recent
+// PC the core observed, Burst re-references the set's resident MRU block
+// on a hit, and LastMiss is the set's lastmiss bit.
+func refInput(p *Predictor, a cache.Access, set int, insert bool) Input {
+	m := p.setMeta[set]
+	in := Input{
+		PC:       a.PC,
+		Addr:     a.Addr,
+		Insert:   insert,
+		Burst:    !insert && m.flags&setHaveBlock != 0 && m.lastBlock == a.Block(),
+		LastMiss: m.flags&setLastMiss != 0,
+	}
+	in.History[0] = a.PC
+	for w := 1; w <= MaxW; w++ {
+		in.History[w] = p.historyPC(a.Core, w)
+	}
+	return in
+}
+
+// checkIndices runs predict and compares the index vector it leaves in
+// p.idx against Feature.Index per feature over refInput.
+func checkIndices(t testing.TB, p *Predictor, a cache.Access, set int, insert bool) {
+	t.Helper()
+	in := refInput(p, a, set, insert)
+	p.predict(a, set, insert)
+	for i, f := range p.features {
+		if want := uint16(f.Index(&in)); p.idx[i] != want {
+			t.Fatalf("access %+v set %d insert %v: %s: idx %#x, reference %#x",
+				a, set, insert, f, p.idx[i], want)
+		}
+	}
+}
+
+// checkConfidence runs predict and compares its confidence against a plain
+// loop summing the weights Feature.Index selects over refInput, clamped.
+func checkConfidence(t testing.TB, p *Predictor, a cache.Access, set int, insert bool) {
+	t.Helper()
+	in := refInput(p, a, set, insert)
+	sum := 0
+	for i, f := range p.features {
+		sum += int(p.tables[i][f.Index(&in)])
+	}
+	if got, want := p.predict(a, set, insert), clampConf(sum); got != want {
+		t.Fatalf("%d features, access %+v set %d insert %v: predict %d, reference %d",
+			len(p.features), a, set, insert, got, want)
+	}
+}
+
+// checkPredict checks both the confidence and the index vector of predict.
+func checkPredict(t testing.TB, p *Predictor, a cache.Access, set int, insert bool) {
+	t.Helper()
+	checkConfidence(t, p, a, set, insert)
+	checkIndices(t, p, a, set, insert)
+}
+
+// TestKernelMatchesReferenceIndex pins predict — the fastKernel walk, the
+// biased-byte lane gather, and the SWAR reduction — against Feature.Index
+// and a plain summed-weights loop: random feature sets of 1 to 64 features
+// (every lane word count), random weight tables, random accesses, and
+// predictor state evolving through observe.
 func TestKernelMatchesReferenceIndex(t *testing.T) {
-	rng := xrand.New(7)
-	if err := quick.Check(func(pc, addr, h uint64, ins, burst, lm bool) bool {
-		in := Input{PC: pc, Addr: addr, Insert: ins, Burst: burst, LastMiss: lm}
-		in.History[0] = pc
-		for i := 1; i < len(in.History); i++ {
-			in.History[i] = h*uint64(i+1) + uint64(i)
+	checkRandomSets(t, xrand.New(11), checkPredict)
+}
+
+// checkRandomSets drives check over 64 random feature sets — 1 and 64
+// features first, so every lane word count is reached — each with
+// scrambled state and 300 random accesses fed back through observe.
+func checkRandomSets(t *testing.T, rng *xrand.RNG, check func(testing.TB, *Predictor, cache.Access, int, bool)) {
+	t.Helper()
+	const sets, cores = 64, 2
+	for trial := 0; trial < 64; trial++ {
+		nf := 1 + rng.Intn(laneWords*8)
+		if trial < 2 {
+			nf = []int{1, laneWords * 8}[trial]
 		}
-		ring, head := ringFromInput(&in)
-		for k := 0; k < 40; k++ {
-			f := Feature{
-				Kind: Kind(rng.Intn(7)),
-				A:    1 + rng.Intn(MaxA),
-				W:    rng.Intn(MaxW + 1),
-				X:    rng.Bool(),
+		feats := randomFeatureSet(rng, nf)
+		p := NewPredictor(feats, sets, cores)
+		scrambleState(p, rng)
+		for i := 0; i < 300; i++ {
+			set := rng.Intn(sets)
+			a := cache.Access{
+				PC:   rng.Uint64() >> uint(rng.Intn(40)),
+				Addr: rng.Uint64() >> uint(rng.Intn(40)),
+				Core: rng.Intn(cores),
+				Type: trace.Load,
 			}
-			switch f.Kind {
-			case KindOffset:
-				// Mirror search.RandomFeature: E may exceed the offset width.
-				f.B = rng.Intn(OffsetBits)
-				f.E = f.B + rng.Intn(OffsetBits-f.B+2)
-			case KindPC, KindAddress:
-				f.B = rng.Intn(40)
-				f.E = f.B + rng.Intn(24)
+			if rng.Intn(4) == 0 {
+				// Re-reference the set's last block so bursts occur.
+				a.Addr = p.setMeta[set].lastBlock<<trace.BlockBits | uint64(rng.Intn(trace.BlockSize))
 			}
-			if err := f.Validate(); err != nil {
-				t.Fatalf("generated invalid feature: %v", err)
-			}
-			kern := compileKernel(f, 0)
-			if got, want := kern.index(&in, ring, head), f.Index(&in); got != want {
-				t.Logf("%s: kernel %#x, reference %#x (in=%+v)", f, got, want, in)
-				return false
-			}
+			insert := rng.Bool()
+			check(t, p, a, set, insert)
+			p.observe(a, set, insert, rng.Bool())
 		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestKernelMatchesReferenceOnPaperSets runs the same equivalence over the
-// published feature sets with a fixed input, so a regression names the
-// exact feature.
+// published feature sets with fixed accesses at saturated weights: a
+// regression names the exact feature, and a sign-handling bug in the
+// biased-byte reduction would surface here first.
 func TestKernelMatchesReferenceOnPaperSets(t *testing.T) {
-	in := Input{PC: 0x402468, Addr: 0xdeadbeef, Insert: true, LastMiss: true}
-	in.History[0] = in.PC
-	for i := 1; i < len(in.History); i++ {
-		in.History[i] = 0x400000 + uint64(i)*0x1234
-	}
-	ring, head := ringFromInput(&in)
+	checkPaperSets(t, checkPredict)
+}
+
+// checkPaperSets drives check over the published feature sets at both
+// saturated weights, on a miss after a miss (lastmiss set) and then on a
+// burst hit re-referencing the same block.
+func checkPaperSets(t *testing.T, check func(testing.TB, *Predictor, cache.Access, int, bool)) {
+	t.Helper()
 	for name, set := range map[string][]Feature{
 		"1a": SingleThreadSetA(),
 		"1b": SingleThreadSetB(),
 		"2":  MultiProgrammedSet(),
 	} {
-		for _, f := range set {
-			kern := compileKernel(f, 0)
-			if got, want := kern.index(&in, ring, head), f.Index(&in); got != want {
-				t.Errorf("set %s, %s: kernel %#x, reference %#x", name, f, got, want)
-			}
+		for _, w := range []int8{WeightMin, WeightMax} {
+			t.Run(fmt.Sprintf("%s/%d", name, w), func(t *testing.T) {
+				p := NewPredictor(set, 64, 1)
+				for i := range p.weights {
+					p.weights[i] = w
+				}
+				for i := MaxW; i >= 1; i-- {
+					p.observe(demand(0x400000+uint64(i)*0x1234, 0), 3, true, true)
+				}
+				a := demand(0x402468, 0xdeadbeef)
+				check(t, p, a, 3, true)
+				p.observe(a, 3, true, true)
+				check(t, p, a, 3, false)
+			})
 		}
 	}
 }

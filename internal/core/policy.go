@@ -273,11 +273,11 @@ func (m *MPPPB) Victim(set int, a cache.Access) (int, bool) {
 	m.duelVote(set)
 	// The index vector is consumed by train — immediately on bypass, or at
 	// Fill through the memo — and only for sampled sets.
-	conf := m.pred.predict(a, set, true, m.sampler.sampledSet(set) >= 0)
+	conf := m.pred.predict(a, set, true)
 	ts := m.thresholdsFor(set)
 	if m.params.BypassEnabled && conf > ts.Tau0 {
 		// Bypassed: Fill will not run, so train and update state here. The
-		// Confidence call above already computed this access's indices.
+		// predict call above already computed this access's indices.
 		m.train(a, set, conf)
 		m.pred.observe(a, set, true, false)
 		m.Bypasses++

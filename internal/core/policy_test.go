@@ -197,14 +197,14 @@ func TestPredictorHistoryPerCore(t *testing.T) {
 	if got := p.historyPC(1, 1); got != 0x2000 {
 		t.Fatalf("core 1 history = %#x", got)
 	}
-	// The compiled W=1 kernel must read the same values through buildInput.
-	p.buildInput(cache.Access{PC: 9, Core: 0}, 0, false)
-	if got := p.curHist[p.curHead&histRingMask]; got != 0x1000 {
-		t.Fatalf("core 0 ring head = %#x", got)
-	}
-	p.buildInput(cache.Access{PC: 9, Core: 1}, 0, false)
-	if got := p.curHist[p.curHead&histRingMask]; got != 0x2000 {
-		t.Fatalf("core 1 ring head = %#x", got)
+	// predict's W=1 kernel must read the same values from each core's ring.
+	for core, pc := range []uint64{0x1000, 0x2000} {
+		var in Input
+		in.History[1] = pc
+		p.predict(cache.Access{PC: 9, Core: core}, 0, false)
+		if got, want := uint32(p.idx[0]), p.features[0].Index(&in); got != want {
+			t.Fatalf("core %d: W=1 index %#x, want %#x", core, got, want)
+		}
 	}
 }
 
@@ -213,26 +213,26 @@ func TestPredictorBurstAndLastMissInputs(t *testing.T) {
 	a := demand(0x400, 5<<trace.BlockBits)
 	set := 5
 	// Initially: no last block, lastmiss false.
-	in := p.buildInput(a, set, false)
+	in := refInput(p, a, set, false)
 	if in.Burst || in.LastMiss {
 		t.Fatalf("fresh set inputs: burst=%v lastmiss=%v", in.Burst, in.LastMiss)
 	}
 	// After a miss fill of the same block, a re-access is a burst and
 	// lastmiss is set.
 	p.observe(a, set, true, true)
-	in = p.buildInput(a, set, false)
+	in = refInput(p, a, set, false)
 	if !in.Burst || !in.LastMiss {
 		t.Fatalf("after miss: burst=%v lastmiss=%v, want true,true", in.Burst, in.LastMiss)
 	}
 	// Insertions are never bursts.
-	in = p.buildInput(a, set, true)
+	in = refInput(p, a, set, true)
 	if in.Burst {
 		t.Fatal("insertion flagged as burst")
 	}
 	// A different block is not a burst; a hit clears lastmiss.
 	p.observe(a, set, false, true)
 	other := demand(0x404, 9<<trace.BlockBits)
-	in = p.buildInput(other, set, false)
+	in = refInput(p, other, set, false)
 	if in.Burst || in.LastMiss {
 		t.Fatalf("other block: burst=%v lastmiss=%v", in.Burst, in.LastMiss)
 	}
@@ -242,7 +242,7 @@ func TestBypassedBlockDoesNotBecomeBurstMRU(t *testing.T) {
 	p := NewPredictor(SingleThreadSetB(), 64, 1)
 	a := demand(0x400, 5<<trace.BlockBits)
 	p.observe(a, 5, true, false) // bypassed: not resident
-	in := p.buildInput(a, 5, false)
+	in := refInput(p, a, 5, false)
 	if in.Burst {
 		t.Fatal("bypassed block treated as MRU for burst")
 	}

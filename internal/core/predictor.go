@@ -41,17 +41,15 @@ const (
 // lastmiss features.
 //
 // The hot path is compiled: NewPredictor resolves each feature into a
-// kernel (kernel.go) and lays every weight table out in one contiguous
+// fastKernel (kernel.go) and lays every weight table out in one contiguous
 // array, so a prediction is a flat walk over precomputed operations with
 // no per-access parameter derivation and no history copying.
 type Predictor struct {
 	features []Feature
-	kernels  []kernel     // reference-shaped compiled form (scalar path, tests)
-	fast     []fastKernel // branch-light form driving the SWAR hot path
+	kernels  []fastKernel // compiled features driving predict
 	histOffs []uint32     // distinct history ring offsets backing srcs[srcHist+j]
 	weights  []int8       // all weight tables, concatenated in feature order
-	tables   [][]int8     // per-feature views into weights (introspection, state I/O)
-	masks    []uint32     // index mask per table
+	tables   [][]int8     // per-feature views into weights (introspection, training)
 
 	// hist[core] is a ring of recent memory-access PCs (not including the
 	// access currently being predicted); heads[core] indexes the most
@@ -60,25 +58,19 @@ type Predictor struct {
 	heads []uint32
 
 	// Per-LLC-set metadata, one record per set so a prediction touches a
-	// single cache line of it (buildInput reads the lastmiss bit, the
+	// single cache line of it (predict reads the lastmiss bit, the
 	// have-block bit, and the last block address together on every call).
 	setMeta []setMeta
 
-	// scratch reused across calls: the assembled input, the per-feature
-	// index vector, the SWAR weight-staging vector, and the requesting
-	// core's ring resolved by buildInput.
+	// scratch reused across calls: the per-feature index vector, the SWAR
+	// weight-staging vector, and the per-prediction source vector.
 	//
-	// lanes holds the gathered (biased) weight bytes of the most recent
-	// computeIndices call, eight per word. Like idx, it survives between
-	// calls, which is what lets MPPPB's Victim→Fill memo reuse the whole
-	// gathered state of a prediction — confidence, index vector, and lane
-	// vector — without recomputing any of it on the Fill side.
-	in      Input
-	idx     []uint16
-	lanes   [laneWords]uint64
-	srcs    []uint64 // per-prediction source vector for the fast kernels
-	curHist *[histRingLen]uint64
-	curHead uint32
+	// idx holds the table indices of the most recent prediction. It
+	// survives between calls, which is what lets MPPPB's Victim→Fill memo
+	// train from a prediction without recomputing it on the Fill side.
+	idx   []uint16
+	lanes [laneWords]uint64
+	srcs  []uint64
 }
 
 // NewPredictor builds predictor state for an LLC with the given number of
@@ -87,18 +79,19 @@ func NewPredictor(features []Feature, llcSets, cores int) *Predictor {
 	if len(features) == 0 {
 		panic("core: empty feature set")
 	}
+	if len(features) > laneWords*8 {
+		panic("core: predictor supports at most 64 features")
+	}
 	if cores <= 0 {
 		panic("core: non-positive core count")
 	}
 	p := &Predictor{
-		features:  features,
-		kernels:   make([]kernel, len(features)),
-		tables:    make([][]int8, len(features)),
-		masks:     make([]uint32, len(features)),
-		hist:    make([][histRingLen]uint64, cores),
-		heads:   make([]uint32, cores),
-		setMeta: make([]setMeta, llcSets),
-		idx:     make([]uint16, len(features)),
+		features: features,
+		tables:   make([][]int8, len(features)),
+		hist:     make([][histRingLen]uint64, cores),
+		heads:    make([]uint32, cores),
+		setMeta:  make([]setMeta, llcSets),
+		idx:      make([]uint16, len(features)),
 	}
 	total := 0
 	for _, f := range features {
@@ -112,13 +105,10 @@ func NewPredictor(features []Feature, llcSets, cores int) *Predictor {
 	for i, f := range features {
 		sz := f.TableSize()
 		p.tables[i] = p.weights[base : base+sz : base+sz]
-		p.masks[i] = uint32(sz - 1)
-		p.kernels[i] = compileKernel(f, uint32(base))
 		base += sz
 	}
-	p.fast, p.histOffs = compileFastKernels(features)
+	p.kernels, p.histOffs = compileFastKernels(features)
 	p.srcs = make([]uint64, srcHist+len(p.histOffs))
-	p.curHist = &p.hist[0]
 	return p
 }
 
@@ -135,78 +125,13 @@ func (p *Predictor) TotalIndexBits() int {
 	return n
 }
 
-// buildInput assembles the feature input for an access. insert marks
-// misses; set is the LLC set index. The returned Input's History array is
-// not filled — kernels read the requesting core's history ring, resolved
-// here into p.curHist/p.curHead.
-func (p *Predictor) buildInput(a cache.Access, set int, insert bool) *Input {
-	in := &p.in
-	in.PC = accessPC(a)
-	in.Addr = a.Addr
-	in.Insert = insert
-	m := &p.setMeta[set]
-	in.LastMiss = m.flags&setLastMiss != 0
-	in.Burst = !insert && m.flags&setHaveBlock != 0 && m.lastBlock == a.Block()
-	core := a.Core
-	if core < 0 || core >= len(p.hist) {
-		core = 0
-	}
-	p.curHist = &p.hist[core]
-	p.curHead = p.heads[core]
-	return in
-}
-
-// computeIndices fills p.idx with each feature's table index for the input
-// and returns the summed, clamped confidence. The weights are gathered
-// into p.lanes as biased bytes and reduced bit-parallel (see kernel.go);
-// the biasing makes the reduction exactly the reference scalar sum, which
-// TestComputeIndicesMatchesScalarSum pins on random table contents.
-//
-// The loop runs over the branch-light fastKernel form (kernel.go): the
-// per-prediction source vector is filled once — PC, address, the three
-// boolean raws, and each distinct history depth read from the ring one
-// time — and every feature is then the same straight-line
-// select/shift/mask/xor expression with no per-kind dispatch.
-// TestKernelMatchesReferenceIndex and the scalar-equivalence tests pin
-// both compiled forms to the reference Feature.Index.
-func (p *Predictor) computeIndices(in *Input) int {
-	nf := len(p.fast)
-	if nf > laneWords*8 {
-		return p.computeIndicesScalar(in)
-	}
-	hist, head := p.curHist, p.curHead
-
-	// Per-prediction source vector. srcs[srcZero] stays 0.
-	srcs := p.srcs
-	pc := in.PC
-	srcs[srcPC] = pc
-	srcs[srcAddr] = in.Addr
-	srcs[srcBurst] = b2u(in.Burst)
-	srcs[srcInsert] = b2u(in.Insert)
-	srcs[srcLastMiss] = b2u(in.LastMiss)
-	for j, off := range p.histOffs {
-		srcs[srcHist+j] = hist[(head+off)&histRingMask]
-	}
-	return p.gather(pc >> 2)
-}
-
-// predict is the fused hot-path prediction: it assembles the source vector
-// straight from the access — no Input struct round-trip through memory, no
-// separate buildInput call — and runs the gather. Confidence and the
-// advisor's decision paths route through it; buildInput+computeIndices
-// remain as the two-step form the scalar fallback and the tests exercise.
-//
-// needIdx selects whether the per-feature index vector is left in p.idx.
-// Only sampler training reads it, and callers know before predicting
-// whether the set is sampled, so the vast majority of predictions (every
-// access to an unsampled set) skip the per-feature store entirely.
-// Callers that predict with needIdx=false MUST NOT train from p.idx
-// afterwards. The confidence is identical either way
-// (TestComputeIndicesMatchesScalarSum checks both variants).
-func (p *Predictor) predict(a cache.Access, set int, insert bool, needIdx bool) int {
-	if len(p.fast) > laneWords*8 {
-		return p.computeIndicesScalar(p.buildInput(a, set, insert))
-	}
+// predict computes the clamped confidence for an access and leaves each
+// feature's table index in p.idx for sampler training. insert marks
+// misses; set is the LLC set index. It fills the source vector straight
+// from the access, the requesting core's history ring and the set's
+// metadata — PC, address, the three boolean raws, and each distinct
+// history depth read from the ring one time — then runs gather.
+func (p *Predictor) predict(a cache.Access, set int, insert bool) int {
 	core := a.Core
 	if core < 0 || core >= len(p.hist) {
 		core = 0
@@ -214,7 +139,7 @@ func (p *Predictor) predict(a cache.Access, set int, insert bool, needIdx bool) 
 	hist, head := &p.hist[core], p.heads[core]
 	pc := accessPC(a)
 	m := &p.setMeta[set]
-	srcs := p.srcs
+	srcs := p.srcs // srcs[srcZero] stays 0
 	srcs[srcPC] = pc
 	srcs[srcAddr] = a.Addr
 	srcs[srcBurst] = b2u(!insert && m.flags&setHaveBlock != 0 && m.lastBlock == a.Block())
@@ -223,19 +148,16 @@ func (p *Predictor) predict(a cache.Access, set int, insert bool, needIdx bool) 
 	for j, off := range p.histOffs {
 		srcs[srcHist+j] = hist[(head+off)&histRingMask]
 	}
-	if needIdx {
-		return p.gather(pc >> 2)
-	}
-	return p.gatherConf(pc >> 2)
+	return p.gather(pc >> 2)
 }
 
-// gather runs the compiled index/weight walk over the already-filled source
-// vector: per feature, the fastKernel select/shift/mask/fold, the idx store,
-// and the biased weight byte ORed into its staging lane; then the SWAR
-// reduction.
+// gather runs the compiled index/weight walk over the filled source
+// vector: per feature, the fastKernel select/shift/mask/fold, the idx
+// store, and the biased weight byte ORed into its staging lane; then the
+// SWAR reduction (kernel.go).
 func (p *Predictor) gather(pcMix uint64) int {
-	nf := len(p.fast)
-	kernels := p.fast
+	nf := len(p.kernels)
+	kernels := p.kernels
 	idx := p.idx
 	weights := p.weights
 	srcs := p.srcs
@@ -276,71 +198,12 @@ func (p *Predictor) gather(pcMix uint64) int {
 	return clampConf(sumLanes(&p.lanes, words) - weightBias*nf)
 }
 
-// gatherConf is gather without the idx store, for predictions on unsampled
-// sets where no training will read the index vector. The loop body is
-// otherwise identical — any change here must be mirrored in gather (the
-// scalar-equivalence tests cover both).
-func (p *Predictor) gatherConf(pcMix uint64) int {
-	nf := len(p.fast)
-	kernels := p.fast
-	weights := p.weights
-	srcs := p.srcs
-
-	words := (nf + 7) / 8
-	i := 0
-	for w := 0; w < words; w++ {
-		var lane uint64
-		end := i + 8
-		if end > nf {
-			end = nf
-		}
-		for sh := uint(0); i < end; i, sh = i+1, sh+8 {
-			k := &kernels[i]
-			raw := (srcs[k.src] >> k.shift) & k.wmask
-			raw ^= pcMix & k.xmask
-			var ix uint32
-			switch k.fold {
-			case foldNone:
-				ix = uint32(raw)
-			case fold88:
-				ix = fold8(raw)
-			default:
-				if raw>>k.bits == 0 {
-					ix = uint32(raw)
-				} else {
-					ix = foldTo(raw, int(k.bits))
-				}
-			}
-			ix &= k.mask
-			lane |= uint64(uint8(weights[k.base+ix])^weightBias) << sh
-		}
-		p.lanes[w] = lane
-	}
-	return clampConf(sumLanes(&p.lanes, words) - weightBias*nf)
-}
-
 // b2u converts a bool to its 0/1 raw feature value.
 func b2u(b bool) uint64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// computeIndicesScalar is the reference summation: the loop-carried scalar
-// add over per-feature weights. It remains the fallback for feature sets
-// too large for the staging vector and the oracle the SWAR path is tested
-// against.
-func (p *Predictor) computeIndicesScalar(in *Input) int {
-	sum := 0
-	hist, head := p.curHist, p.curHead
-	for i := range p.kernels {
-		k := &p.kernels[i]
-		ix := k.index(in, hist, head) & k.mask
-		p.idx[i] = uint16(ix)
-		sum += int(p.weights[k.base+ix])
-	}
-	return clampConf(sum)
 }
 
 // historyPC returns the w-th most recent observed PC (w >= 1) for a core,
@@ -352,7 +215,7 @@ func (p *Predictor) historyPC(core, w int) uint64 {
 // Confidence computes the prediction for an access without updating any
 // state. Higher values mean the block is more confidently predicted dead.
 func (p *Predictor) Confidence(a cache.Access, set int, insert bool) int {
-	return p.predict(a, set, insert, true)
+	return p.predict(a, set, insert)
 }
 
 // observe updates per-set and per-core state after an access has been

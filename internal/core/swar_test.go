@@ -3,125 +3,22 @@ package core
 import (
 	"testing"
 
-	"mpppb/internal/cache"
-	"mpppb/internal/trace"
 	"mpppb/internal/xrand"
 )
 
-// randomFeatureSet builds a valid feature set of the given size mixing all
-// kinds, the way search explores them.
-func randomFeatureSet(rng *xrand.RNG, n int) []Feature {
-	feats := make([]Feature, n)
-	for i := range feats {
-		f := Feature{
-			Kind: Kind(rng.Intn(7)),
-			A:    1 + rng.Intn(MaxA),
-			W:    rng.Intn(MaxW + 1),
-			X:    rng.Bool(),
-		}
-		switch f.Kind {
-		case KindOffset:
-			f.B = rng.Intn(OffsetBits)
-			f.E = f.B + rng.Intn(OffsetBits-f.B+2)
-		case KindPC, KindAddress:
-			f.B = rng.Intn(40)
-			f.E = f.B + rng.Intn(24)
-		}
-		feats[i] = f
-	}
-	return feats
-}
-
-// scrambleState randomizes every predictor input source: weights across
-// the full 6-bit range, history rings, ring heads, and per-set metadata.
-func scrambleState(p *Predictor, rng *xrand.RNG) {
-	for i := range p.weights {
-		p.weights[i] = int8(WeightMin + rng.Intn(WeightMax-WeightMin+1))
-	}
-	for c := range p.hist {
-		for i := range p.hist[c] {
-			p.hist[c][i] = rng.Uint64()
-		}
-		p.heads[c] = uint32(rng.Intn(histRingLen))
-	}
-	for s := range p.setMeta {
-		p.setMeta[s] = setMeta{lastBlock: rng.Uint64() >> 40, flags: uint8(rng.Intn(4))}
-	}
-}
-
-// TestComputeIndicesMatchesScalarSum pins the SWAR hot path — the
-// branch-light fastKernel walk, the biased-byte lane gather, and the
-// sumLanes reduction — against the reference scalar summation, on random
-// feature sets, random weight tables, and random accesses: same clamped
-// confidence, same per-feature index vector.
+// TestComputeIndicesMatchesScalarSum pins the confidence predict returns
+// — the biased-byte lane gather and the SWAR sumLanes reduction — against
+// a plain loop summing the indexed weights, on a second stream of random
+// feature sets of 1 to 64 features, weight tables and predictor states.
 func TestComputeIndicesMatchesScalarSum(t *testing.T) {
-	rng := xrand.New(11)
-	for trial := 0; trial < 25; trial++ {
-		nf := 1 + rng.Intn(20)
-		feats := randomFeatureSet(rng, nf)
-		p := NewPredictor(feats, 64, 2)
-		scrambleState(p, rng)
-
-		scalarIdx := make([]uint16, nf)
-		for i := 0; i < 300; i++ {
-			a := cache.Access{
-				PC:   rng.Uint64() >> uint(rng.Intn(40)),
-				Addr: rng.Uint64() >> uint(rng.Intn(40)),
-				Core: rng.Intn(2),
-				Type: trace.Load,
-			}
-			set := rng.Intn(64)
-			insert := rng.Bool()
-
-			noIdxConf := p.predict(a, set, insert, false)
-			gotConf := p.predict(a, set, insert, true)
-			gotIdx := append([]uint16(nil), p.idx...)
-			if noIdxConf != gotConf {
-				t.Fatalf("trial %d access %d: needIdx=false confidence %d != needIdx=true %d",
-					trial, i, noIdxConf, gotConf)
-			}
-
-			in := p.buildInput(a, set, insert)
-			wantConf := p.computeIndicesScalar(in)
-			copy(scalarIdx, p.idx)
-
-			if gotConf != wantConf {
-				t.Fatalf("trial %d access %d: SWAR confidence %d != scalar %d (features %v)",
-					trial, i, gotConf, wantConf, feats)
-			}
-			for j := range scalarIdx {
-				if gotIdx[j] != scalarIdx[j] {
-					t.Fatalf("trial %d access %d: idx[%d] = %d, scalar %d (feature %s)",
-						trial, i, j, gotIdx[j], scalarIdx[j], feats[j])
-				}
-			}
-		}
-	}
+	checkRandomSets(t, xrand.New(12), checkConfidence)
 }
 
-// TestComputeIndicesMatchesScalarOnPaperSets runs the same equivalence on
-// the published feature sets at saturated weights, where a sign-handling
-// bug in the biased-byte reduction would surface first.
+// TestComputeIndicesMatchesScalarOnPaperSets checks the confidence sum
+// alone on the published feature sets at saturated weights, where a
+// sign-handling bug in the biased-byte reduction would surface first.
 func TestComputeIndicesMatchesScalarOnPaperSets(t *testing.T) {
-	for name, set := range map[string][]Feature{
-		"1a": SingleThreadSetA(),
-		"1b": SingleThreadSetB(),
-		"2":  MultiProgrammedSet(),
-	} {
-		for _, w := range []int8{WeightMin, WeightMax} {
-			p := NewPredictor(set, 64, 1)
-			for i := range p.weights {
-				p.weights[i] = w
-			}
-			a := cache.Access{PC: 0x402468, Addr: 0xdeadbeef, Type: trace.Load}
-			got := p.predict(a, 3, true, true)
-			in := p.buildInput(a, 3, true)
-			want := p.computeIndicesScalar(in)
-			if got != want {
-				t.Errorf("set %s, weights %d: SWAR %d != scalar %d", name, w, got, want)
-			}
-		}
-	}
+	checkPaperSets(t, checkConfidence)
 }
 
 // TestSumLanesExhaustsBias sweeps sumLanes over the byte-value extremes:

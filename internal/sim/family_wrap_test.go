@@ -71,7 +71,7 @@ func TestFamilyWrapStraddlingDeliveryPathsIdentical(t *testing.T) {
 			cfg.Warmup, cfg.Measure = instr, 3*total
 
 			perRecord := RunSingle(cfg, nextOnlyGen{trace.NewColumnarReplay("wrap", cols)}, pf).Deterministic()
-			rowGen := trace.NewReplayGenerator("wrap", recs)
+			rowGen := rowOnlyGen{trace.NewColumnarReplay("wrap", cols)}
 			rowMajor := RunSingle(cfg, rowGen, pf).Deterministic()
 			columnar := RunSingle(cfg, trace.NewColumnarReplay("wrap", cols), pf).Deterministic()
 
@@ -81,8 +81,8 @@ func TestFamilyWrapStraddlingDeliveryPathsIdentical(t *testing.T) {
 			if perRecord != columnar {
 				t.Errorf("per-record vs columnar:\n%+v\n%+v", perRecord, columnar)
 			}
-			if rowGen.Wraps < 2 {
-				t.Fatalf("trace wrapped %d times; run too short", rowGen.Wraps)
+			if rowGen.g.Wraps < 2 {
+				t.Fatalf("trace wrapped %d times; run too short", rowGen.g.Wraps)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ func TestWarmupSplitInvariance(t *testing.T) {
 	for i := range recs {
 		recs[i].NonMem = 0
 	}
-	gen := trace.NewReplayGenerator("warmup-split", recs)
+	gen := trace.NewColumnarReplay("warmup-split", trace.ColumnsOf(recs))
 
 	for _, name := range []string{"lru", "mpppb"} {
 		t.Run(name, func(t *testing.T) {

@@ -25,6 +25,15 @@ func (n nextOnlyGen) Name() string         { return n.g.Name() }
 func (n nextOnlyGen) Next(r *trace.Record) { n.g.Next(r) }
 func (n nextOnlyGen) Reset()               { n.g.Reset() }
 
+// rowOnlyGen hides a columnar replay's NextColumns, forcing the sim's
+// row-major NextBatch path.
+type rowOnlyGen struct{ g *trace.ColumnarReplay }
+
+func (r rowOnlyGen) Name() string                      { return r.g.Name() }
+func (r rowOnlyGen) Next(rec *trace.Record)            { r.g.Next(rec) }
+func (r rowOnlyGen) NextBatch(recs []trace.Record) int { return r.g.NextBatch(recs) }
+func (r rowOnlyGen) Reset()                            { r.g.Reset() }
+
 // wrapRecords builds a deterministic trace with cache-relevant structure
 // (a hot set, a streaming region, noise) whose length is deliberately
 // prime so batch refills and wraps never align.
@@ -89,7 +98,7 @@ func TestWrapStraddlingDeliveryPathsIdentical(t *testing.T) {
 			// Path 1: per-record Next only (full batches, wrap inside Next).
 			perRecord := RunSingle(cfg, nextOnlyGen{trace.NewColumnarReplay("wrap", cols)}, pf).Deterministic()
 			// Path 2: row-major NextBatch (short fill at the wrap).
-			rowGen := trace.NewReplayGenerator("wrap", recs)
+			rowGen := rowOnlyGen{trace.NewColumnarReplay("wrap", cols)}
 			rowMajor := RunSingle(cfg, rowGen, pf).Deterministic()
 			// Path 3: columnar NextColumns (short fill at the wrap).
 			colGen := trace.NewColumnarReplay("wrap", cols)
@@ -103,13 +112,13 @@ func TestWrapStraddlingDeliveryPathsIdentical(t *testing.T) {
 			}
 			// The scenario must actually exercise wraps, or the test
 			// proves nothing.
-			if rowGen.Wraps < 2 || colGen.Wraps < 2 {
+			if rowGen.g.Wraps < 2 || colGen.Wraps < 2 {
 				t.Fatalf("trace wrapped %d/%d times; the run is too short to straddle wraps",
-					rowGen.Wraps, colGen.Wraps)
+					rowGen.g.Wraps, colGen.Wraps)
 			}
 
 			// The untimed driver shares the cursor logic; pin it too.
-			fastRow := RunFastMPKI(cfg, trace.NewReplayGenerator("wrap", recs), pf).Deterministic()
+			fastRow := RunFastMPKI(cfg, rowOnlyGen{trace.NewColumnarReplay("wrap", cols)}, pf).Deterministic()
 			fastCol := RunFastMPKI(cfg, trace.NewColumnarReplay("wrap", cols), pf).Deterministic()
 			fastNext := RunFastMPKI(cfg, nextOnlyGen{trace.NewColumnarReplay("wrap", cols)}, pf).Deterministic()
 			if fastRow != fastCol || fastRow != fastNext {

@@ -29,22 +29,22 @@ func TestFillBatchFallback(t *testing.T) {
 	}
 }
 
-// TestReplayNextBatchMatchesNext proves the replay generator's batched
-// path delivers the per-record stream, including wrap points and the Wraps
-// counter.
+// TestReplayNextBatchMatchesNext proves the columnar replay's row-major
+// batched path delivers the per-record stream, including wrap points and
+// the Wraps counter.
 func TestReplayNextBatchMatchesNext(t *testing.T) {
 	recs := make([]Record, 10)
 	for i := range recs {
 		recs[i] = Record{PC: uint64(i) * 8, Addr: uint64(i) * 128, IsWrite: i%3 == 0}
 	}
 	const total = 64
-	ref := NewReplayGenerator("r", recs)
+	ref := NewColumnarReplay("r", ColumnsOf(recs))
 	want := make([]Record, total)
 	for i := range want {
 		ref.Next(&want[i])
 	}
 	for _, sz := range []int{1, 4, 10, 25} {
-		g := NewReplayGenerator("r", recs)
+		g := NewColumnarReplay("r", ColumnsOf(recs))
 		got := make([]Record, 0, total)
 		buf := make([]Record, sz)
 		for len(got) < total {

@@ -78,8 +78,11 @@ type ColumnBatcher interface {
 }
 
 // ColumnarReplay adapts column-major trace storage to the Generator
-// interface, wrapping at the end like ReplayGenerator. Multiple
-// ColumnarReplay cursors may share one read-only *Columns.
+// interface, wrapping around at the end (generators are infinite by
+// contract; drivers bound runs by instruction count). The wrap restarts
+// program phase behaviour, the same convention the multi-programmed
+// methodology uses for region restarts. Multiple ColumnarReplay cursors may
+// share one read-only *Columns.
 type ColumnarReplay struct {
 	name string
 	cols *Columns

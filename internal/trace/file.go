@@ -139,60 +139,3 @@ func Capture(g Generator, n int) []Record {
 	}
 	return out
 }
-
-// ReplayGenerator adapts a record slice to the Generator interface,
-// wrapping around at the end (generators are infinite by contract; drivers
-// bound runs by instruction count). The wrap restarts program phase
-// behaviour, which is the same convention the multi-programmed methodology
-// uses for region restarts.
-type ReplayGenerator struct {
-	name string
-	recs []Record
-	pos  int
-	// Wraps counts how many times the replay restarted.
-	Wraps uint64
-}
-
-// NewReplayGenerator wraps records in a Generator. It panics on an empty
-// slice (an empty trace cannot satisfy the infinite-stream contract).
-func NewReplayGenerator(name string, recs []Record) *ReplayGenerator {
-	if len(recs) == 0 {
-		panic("trace: empty replay trace")
-	}
-	return &ReplayGenerator{name: name, recs: recs}
-}
-
-// Name implements Generator.
-func (g *ReplayGenerator) Name() string { return g.name }
-
-// Next implements Generator.
-func (g *ReplayGenerator) Next(rec *Record) {
-	*rec = g.recs[g.pos]
-	g.pos++
-	if g.pos == len(g.recs) {
-		g.pos = 0
-		g.Wraps++
-	}
-}
-
-// NextBatch implements BatchGenerator: one bulk copy up to the wrap point.
-func (g *ReplayGenerator) NextBatch(recs []Record) int {
-	if len(recs) == 0 {
-		return 0
-	}
-	n := copy(recs, g.recs[g.pos:])
-	g.pos += n
-	if g.pos == len(g.recs) {
-		g.pos = 0
-		g.Wraps++
-	}
-	return n
-}
-
-// Reset implements Generator.
-func (g *ReplayGenerator) Reset() { g.pos = 0; g.Wraps = 0 }
-
-// Len returns the number of records in one pass of the trace.
-func (g *ReplayGenerator) Len() int { return len(g.recs) }
-
-var _ BatchGenerator = (*ReplayGenerator)(nil)

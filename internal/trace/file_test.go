@@ -110,7 +110,7 @@ func TestCaptureAndReplay(t *testing.T) {
 	recs := []Record{
 		{PC: 1, Addr: 10}, {PC: 2, Addr: 20}, {PC: 3, Addr: 30},
 	}
-	g := NewReplayGenerator("re", recs)
+	g := NewColumnarReplay("re", ColumnsOf(recs))
 	if g.Name() != "re" || g.Len() != 3 {
 		t.Fatal("replay metadata wrong")
 	}
@@ -133,7 +133,7 @@ func TestCaptureAndReplay(t *testing.T) {
 
 func TestCaptureFromReplay(t *testing.T) {
 	recs := []Record{{PC: 1, Addr: 10}, {PC: 2, Addr: 20}}
-	g := NewReplayGenerator("c", recs)
+	g := NewColumnarReplay("c", ColumnsOf(recs))
 	got := Capture(g, 5)
 	want := []Record{recs[0], recs[1], recs[0], recs[1], recs[0]}
 	for i := range want {
@@ -149,7 +149,7 @@ func TestEmptyReplayPanics(t *testing.T) {
 			t.Fatal("empty replay accepted")
 		}
 	}()
-	NewReplayGenerator("x", nil)
+	NewColumnarReplay("x", ColumnsOf(nil))
 }
 
 func TestZigzag(t *testing.T) {

@@ -68,7 +68,7 @@ func TestIngestDispatch(t *testing.T) {
 	}{
 		{"t.csv", csv, FormatAuto},
 		{"t.jsonl", jsonl, FormatAuto},
-		{"noext", csv, FormatAuto},  // sniffed: not '{' → CSV
+		{"noext", csv, FormatAuto},   // sniffed: not '{' → CSV
 		{"noext", jsonl, FormatAuto}, // sniffed: '{' → JSONL
 		{"t.txt", csv, FormatCSV},
 		{"t.txt", jsonl, FormatJSONL},

@@ -77,11 +77,11 @@ func TestRDArbitraryModel(t *testing.T) {
 
 func TestRDModelValidation(t *testing.T) {
 	cases := []RDModel{
-		{},                                                  // no buckets
-		{Buckets: []RDBucket{{Hi: 0, Weight: 1}}},           // zero edge
+		{}, // no buckets
+		{Buckets: []RDBucket{{Hi: 0, Weight: 1}}},                     // zero edge
 		{Buckets: []RDBucket{{Hi: 8, Weight: 1}, {Hi: 8, Weight: 1}}}, // not ascending
-		{Buckets: []RDBucket{{Hi: 8, Weight: -1}}},          // negative weight
-		{Buckets: []RDBucket{{Hi: 8, Weight: 0}}, Cold: 0},  // zero total
+		{Buckets: []RDBucket{{Hi: 8, Weight: -1}}},                    // negative weight
+		{Buckets: []RDBucket{{Hi: 8, Weight: 0}}, Cold: 0},            // zero total
 	}
 	for i, m := range cases {
 		func() {

@@ -20,34 +20,37 @@ import (
 // tracePrefix marks external-trace benchmark names.
 const tracePrefix = "trace:"
 
-// traceCache memoizes loaded trace files, so a grid run that schedules
-// all segments of one trace decodes the file once.
+// traceCache memoizes loaded trace files in column-major form, so a grid
+// run that schedules all segments of one trace decodes the file once and
+// every segment's replay cursor shares the same read-only columns.
 var traceCache sync.Map // path -> traceEntry
 
 type traceEntry struct {
-	recs []trace.Record
+	cols *trace.Columns
 	err  error
 }
 
-func loadTrace(path string) ([]trace.Record, error) {
+func loadTrace(path string) (*trace.Columns, error) {
 	if e, ok := traceCache.Load(path); ok {
 		ent := e.(traceEntry)
-		return ent.recs, ent.err
+		return ent.cols, ent.err
 	}
 	var ent traceEntry
 	f, err := os.Open(path)
 	if err != nil {
 		ent.err = err
 	} else {
-		ent.recs, ent.err = trace.ReadAll(f)
+		var recs []trace.Record
+		recs, ent.err = trace.ReadAll(f)
 		f.Close()
-		if ent.err == nil && len(ent.recs) == 0 {
+		if ent.err == nil && len(recs) == 0 {
 			ent.err = fmt.Errorf("workload: trace %s is empty", path)
 		}
+		ent.cols = trace.ColumnsOf(recs)
 	}
 	e, _ := traceCache.LoadOrStore(path, ent)
 	ent = e.(traceEntry)
-	return ent.recs, ent.err
+	return ent.cols, ent.err
 }
 
 func init() {
@@ -65,11 +68,11 @@ func init() {
 			Name:  name,
 			Class: "external-trace",
 			Make: func(seg int, base uint64) trace.Generator {
-				recs, err := loadTrace(path)
+				cols, err := loadTrace(path)
 				if err != nil {
 					panic(fmt.Sprintf("workload: loading %s: %v", path, err))
 				}
-				return newTraceSegment(segName(name, seg), recs, seg, base)
+				return newTraceSegment(segName(name, seg), cols, seg, base)
 			},
 		}, true
 	})
@@ -84,21 +87,29 @@ const traceAddrBits = 40
 // traceSegment replays a slice of a trace file, rebased into the driver's
 // address region. It wraps like any replay generator.
 type traceSegment struct {
-	inner *trace.ReplayGenerator
+	inner *trace.ColumnarReplay
 	base  uint64
 }
 
 // newTraceSegment slices the phase for seg (0 = full, 1 = first half,
-// 2 = second half) and wraps it in a rebasing replayer.
-func newTraceSegment(name string, recs []trace.Record, seg int, base uint64) *traceSegment {
-	half := len(recs) / 2
+// 2 = second half) out of the shared columns and wraps it in a rebasing
+// replayer.
+func newTraceSegment(name string, cols *trace.Columns, seg int, base uint64) *traceSegment {
+	lo, hi := 0, cols.Len()
+	half := hi / 2
 	switch {
 	case seg == 1 && half > 0:
-		recs = recs[:half]
+		hi = half
 	case seg == 2 && half > 0:
-		recs = recs[half:]
+		lo = half
 	}
-	return &traceSegment{inner: trace.NewReplayGenerator(name, recs), base: base}
+	phase := &trace.Columns{
+		PCs:    cols.PCs[lo:hi],
+		Addrs:  cols.Addrs[lo:hi],
+		Writes: cols.Writes[lo:hi],
+		NonMem: cols.NonMem[lo:hi],
+	}
+	return &traceSegment{inner: trace.NewColumnarReplay(name, phase), base: base}
 }
 
 func (g *traceSegment) rebase(r *trace.Record) {
@@ -115,7 +126,7 @@ func (g *traceSegment) Next(rec *trace.Record) {
 }
 
 // NextBatch implements trace.BatchGenerator; rebasing touches only the
-// caller's buffer, never the shared decoded records.
+// caller's buffer, never the shared decoded columns.
 func (g *traceSegment) NextBatch(recs []trace.Record) int {
 	n := g.inner.NextBatch(recs)
 	for i := 0; i < n; i++ {
