@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-hotpath bench-record bench-regress experiments results resume-smoke watch-smoke serve-smoke check-smoke fleet-smoke ingest-smoke adaptive-smoke perfbench-test cover fuzz clean
+.PHONY: all build test vet race bench bench-hotpath bench-record bench-regress experiments results perfbench-test cover fuzz clean
 
 all: build test
 
@@ -53,49 +53,19 @@ bench-regress:
 results:
 	$(GO) run ./cmd/mpppb-experiments -id all -out results
 
-# End-to-end crash recovery: interrupt a journaled campaign with SIGINT,
-# resume it, and require byte-identical TSVs (see scripts/resume_smoke.sh).
-resume-smoke:
-	scripts/resume_smoke.sh
-
-# End-to-end live observability: run a campaign with -listen, poll
-# /metrics and /status mid-run, and require well-formed endpoint output
-# plus a byte-identical TSV (see scripts/watch_smoke.sh).
-watch-smoke:
-	scripts/watch_smoke.sh
-
-# End-to-end advice serving: a -check server, clients streaming a
-# benchmark segment (one verifying byte-identical advice against an
-# inline replay), /metrics accounting, and a clean SIGINT drain (see
-# scripts/serve_smoke.sh).
-serve-smoke:
-	scripts/serve_smoke.sh
-
-# Differential-oracle smoke: a small fig6 segment with the lockstep
-# verification layer armed (-check); divergence aborts with the access
-# index and a set-level dump (see scripts/check_smoke.sh).
-check-smoke:
-	scripts/check_smoke.sh
-
-# End-to-end fleet campaign: coordinator + two workers, one killed -9
-# mid-run, byte-identical TSVs from the coordinator and the survivor
-# (see scripts/fleet_smoke.sh).
-fleet-smoke:
-	scripts/fleet_smoke.sh
-
-# End-to-end trace ingestion: capture → CSV/JSONL → ingest must reproduce
-# the binary trace byte-for-byte, journal hits on re-ingest, and the
-# ingested trace replays identically under -check and as a trace:<path>
-# benchmark (see scripts/ingest_smoke.sh).
-ingest-smoke:
-	scripts/ingest_smoke.sh
-
-# End-to-end adaptive-threshold duel: a figadapt campaign byte-identical
-# plain vs -check (reference duel armed) vs -listen (mpppb_adaptive_*
-# gauges scraped live), plus the mpppb-tune → -duel spec round trip
-# (see scripts/adaptive_smoke.sh).
-adaptive-smoke:
-	scripts/adaptive_smoke.sh
+# End-to-end smokes against the real binaries (make resume-smoke, ...):
+#   resume    SIGINT a journaled campaign, resume, byte-identical TSVs
+#   watch     poll /metrics and /status mid-run, byte-identical TSV
+#   serve     -check advice server, verifying clients, clean SIGINT drain
+#   check     a fig6 segment under the lockstep -check oracle
+#   fleet     coordinator + two workers, one killed -9, byte-identical TSVs
+#   ingest    capture -> CSV/JSONL -> ingest round trip, -check replay
+#   adaptive  figadapt plain vs -check vs -listen, mpppb-tune -> -duel
+# Each runs scripts/<name>_smoke.sh.
+SMOKES := resume watch serve check fleet ingest adaptive
+.PHONY: $(SMOKES:%=%-smoke)
+$(SMOKES:%=%-smoke): %-smoke:
+	scripts/$*_smoke.sh
 
 # The repository benchmark (perfbench/) is a module of its own outside the
 # root ./..., so its vet and tests run here, against this checkout's

@@ -33,7 +33,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -138,12 +137,10 @@ func main() {
 		benches = flag.String("benches", "", "restrict fig6/fig7 to these benchmarks (comma-separated)")
 		j       = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for independent runs (1 = serial; output is identical at any -j)")
 		check   = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
-		coord   = flag.Bool("coordinator", false, "run as fleet coordinator: serve the work-lease API on -listen and let -worker processes compute the cells")
-		workURL = flag.String("worker", "", "run as fleet worker: lease cells from the coordinator at this URL instead of deciding the grid locally")
-		ttl     = flag.Duration("lease-ttl", fleet.DefaultTTL, "coordinator lease heartbeat deadline; an unrenewed cell is reassigned after this long")
 	)
 	jf := journal.RegisterFlags(flag.CommandLine)
 	of := obs.RegisterFlags(flag.CommandLine)
+	ff := fleet.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	defer prof.Start()()
 	parallel.SetDefault(*j)
@@ -174,6 +171,14 @@ func main() {
 		r.mcPolicies = strings.Split(*mcPols, ",")
 	} else {
 		r.mcPolicies = experiments.DefaultMultiCorePolicies()
+	}
+	if err := sim.CheckNames("policy", r.stPolicies, sim.PolicyNames()); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-experiments: -st-policies: %v\n", err)
+		os.Exit(1)
+	}
+	if err := sim.CheckNames("policy", r.mcPolicies, sim.PolicyNames()); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-experiments: -mc-policies: %v\n", err)
+		os.Exit(1)
 	}
 	if *duel != "" {
 		cands, err := core.ParseDuelCandidates(*duel)
@@ -213,19 +218,10 @@ func main() {
 		Version: journal.BuildVersion(),
 		Seed:    int64(workload.DefaultMixSeed),
 	}
-	if *coord && *workURL != "" {
-		fmt.Fprintln(os.Stderr, "mpppb-experiments: -coordinator and -worker are mutually exclusive")
+	if err := ff.Check(of.Listen, jf.Path); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
 		os.Exit(1)
 	}
-	if *coord && of.Listen == "" {
-		fmt.Fprintln(os.Stderr, "mpppb-experiments: -coordinator needs -listen to serve the work-lease API")
-		os.Exit(1)
-	}
-	if *workURL != "" && jf.Path != "" {
-		fmt.Fprintln(os.Stderr, "mpppb-experiments: -worker does not journal locally (the coordinator owns the journal); drop -journal")
-		os.Exit(1)
-	}
-
 	jrnl, err := jf.Open(fp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
@@ -235,17 +231,13 @@ func main() {
 
 	status := obs.NewRunStatus("mpppb-experiments")
 	status.SetMeta(fp.Config, jf.Path)
-	var board *fleet.Board
-	var routes []obs.Route
-	if *coord {
-		board = fleet.NewBoard(fleet.BoardConfig{
-			Fingerprint: fp,
-			Journal:     jrnl,
-			Status:      status,
-			TTL:         *ttl,
-		})
+	board, worker, routes, err := ff.Open(fp, jrnl, status, *j)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
+		os.Exit(1)
+	}
+	if board != nil {
 		defer board.Close()
-		routes = fleet.Routes(board)
 	}
 	obsStop, err := of.Start(status, routes...)
 	if err != nil {
@@ -262,23 +254,10 @@ func main() {
 		Journal: jrnl,
 		// Keep going past a permanently failed cell: the tables render its
 		// slots as NaN and the tool exits 3 after reporting the failures.
-		KeepGoing: true,
-		Status:    status,
-		Fleet:     board,
-	}
-	if *workURL != "" {
-		wk, err := fleet.NewWorker(fleet.WorkerConfig{
-			URL:         *workURL,
-			Fingerprint: fp,
-			Workers:     *j,
-			Status:      status,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mpppb-experiments: fleet worker %s leasing from %s\n", wk.ID(), *workURL)
-		r.opts.FleetWorker = wk
+		KeepGoing:   true,
+		Status:      status,
+		Fleet:       board,
+		FleetWorker: worker,
 	}
 	if !*quiet {
 		r.opts.Progress = func(format string, args ...any) {
@@ -292,32 +271,12 @@ func main() {
 		ids = all
 	}
 	for _, one := range ids {
-		if err := r.run(one); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "mpppb-experiments: interrupted")
-				if jf.Path != "" {
-					fmt.Fprintf(os.Stderr, "; completed cells are saved — re-run with -journal %s -resume to continue", jf.Path)
-				} else {
-					fmt.Fprintf(os.Stderr, " (hint: -journal FILE makes runs resumable)")
-				}
-				fmt.Fprintln(os.Stderr)
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
-			os.Exit(1)
+		if err = r.run(one); err != nil {
+			break
 		}
 	}
-	if board != nil {
-		// Linger until live workers have fetched the final grid (so they
-		// can render the same tables) rather than vanishing mid-poll.
-		board.SettleWorkers(ctx, 2**ttl)
-	}
-	if failures := r.opts.Failures(); len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "mpppb-experiments: %d cell(s) failed permanently; their table entries are NaN:\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  FAILED %s: %v\n", f.Key, f.Err)
-		}
-		os.Exit(3)
+	if code := r.opts.Finish(os.Stderr, "mpppb-experiments", jf.Path, err); code != 0 {
+		os.Exit(code)
 	}
 }
 

@@ -7,21 +7,22 @@
 //	mpppb-roc -bench all -predictor sdbp,perceptron,mpppb -summary
 //
 // Suite-wide extractions can checkpoint with -journal FILE; -resume
-// replays the per-segment sample sets already on disk.
+// replays the per-segment sample sets already on disk. A failed segment is
+// left out of its pooled curve and the tool exits 3; an unknown
+// -predictor is refused with exit 1 before any segment runs.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
-	"time"
 
 	"mpppb"
+	"mpppb/internal/experiments"
 	"mpppb/internal/journal"
 	"mpppb/internal/obs"
 	"mpppb/internal/parallel"
@@ -68,6 +69,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "no matching segments")
 		os.Exit(1)
 	}
+	preds := strings.Split(*predictors, ",")
+	for i := range preds {
+		preds[i] = strings.TrimSpace(preds[i])
+	}
+	if err := sim.CheckNames("predictor", preds, sim.ConfidenceNames()); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-roc: -predictor: %v\n", err)
+		os.Exit(1)
+	}
 
 	type fingerprintConfig struct {
 		Tool    string `json:"tool"`
@@ -101,55 +110,29 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	exit := 0
-	for _, pred := range strings.Split(*predictors, ",") {
-		pred = strings.TrimSpace(pred)
-		// Segments fan across the pool; samples pool in segment order, so
-		// the curve matches a serial run exactly.
-		for _, id := range ids {
-			status.AddCells("roc/" + pred + "/" + id.String())
+	// Segments fan across the pool; samples pool in segment order, so each
+	// curve matches a serial run exactly.
+	run := &experiments.Run{Ctx: ctx, Journal: jrnl, KeepGoing: true, Status: status}
+	for _, pred := range preds {
+		keys := make([]string, len(ids))
+		for i, id := range ids {
+			keys[i] = "roc/" + pred + "/" + id.String()
 		}
-		opts := parallel.RunOpts{KeepGoing: true}
-		perSeg, segErrs, err := parallel.MapErr(ctx, opts, len(ids), func(ctx context.Context, i int) (stats.PackedROC, error) {
-			key := "roc/" + pred + "/" + ids[i].String()
-			status.CellRunning(key)
-			var packed stats.PackedROC
-			if hit, err := jrnl.Load(key, &packed); err != nil {
-				return stats.PackedROC{}, err
-			} else if hit {
-				status.CellDone(key, obs.CellJournal, 0)
-				return packed, nil
-			}
-			t0 := time.Now()
+		perSeg, segErrs, err := experiments.RunCells(run, keys, func(_ context.Context, i int) (stats.PackedROC, error) {
 			samples, err := mpppb.ROCSamples(cfg, ids[i], pred)
 			if err != nil {
 				return stats.PackedROC{}, err
 			}
-			packed = stats.PackROC(samples)
-			status.CellDone(key, obs.CellOK, time.Since(t0))
-			return packed, jrnl.Record(key, packed)
+			return stats.PackROC(samples), nil
 		})
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "mpppb-roc: interrupted")
-				if jf.Path != "" {
-					fmt.Fprintf(os.Stderr, "mpppb-roc: completed segments saved; re-run with -journal %s -resume to continue\n", jf.Path)
-				}
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(run.Finish(os.Stderr, "mpppb-roc", jf.Path, err))
 		}
 		var pool []stats.ROCSample
 		for i, packed := range perSeg {
-			if segErrs[i] != nil {
-				fmt.Fprintf(os.Stderr, "FAILED roc/%s/%s: %v\n", pred, ids[i], segErrs[i])
-				jrnl.RecordFailure("roc/"+pred+"/"+ids[i].String(), segErrs[i])
-				status.CellDone("roc/"+pred+"/"+ids[i].String(), obs.CellFailed, 0)
-				exit = 3
-				continue
+			if segErrs[i] == nil {
+				pool = append(pool, packed.Unpack()...)
 			}
-			pool = append(pool, packed.Unpack()...)
 		}
 		curve := stats.ROC(pool)
 		fmt.Printf("# %s: %d samples, AUC=%.4f TPR@25%%=%.3f TPR@30%%=%.3f\n",
@@ -163,8 +146,7 @@ func main() {
 			fmt.Printf("%d\t%.4f\t%.4f\n", p.Threshold, p.FPR, p.TPR)
 		}
 	}
-	if exit != 0 {
-		fmt.Fprintln(os.Stderr, "mpppb-roc: some segments failed; their samples are missing from the pooled curves")
-		os.Exit(exit)
+	if code := run.Finish(os.Stderr, "mpppb-roc", jf.Path, nil); code != 0 {
+		os.Exit(code)
 	}
 }

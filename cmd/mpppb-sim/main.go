@@ -9,14 +9,13 @@
 //
 // Large sweeps (-bench all with many policies) can checkpoint with
 // -journal FILE; -resume skips the (segment, policy) runs already on
-// disk. Failed runs print NA cells and exit non-zero instead of aborting
-// the whole grid. -listen HOST:PORT serves live /metrics, /status and
+// disk. Failed runs print NA cells and exit 3 instead of aborting the
+// whole grid; an unknown -policy is refused with exit 1 before any run. -listen HOST:PORT serves live /metrics, /status and
 // /debug/pprof for the run; -progress 10s prints a stderr ticker.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,10 +23,10 @@ import (
 	"runtime"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"mpppb"
 	"mpppb/internal/core"
+	"mpppb/internal/experiments"
 	"mpppb/internal/journal"
 	"mpppb/internal/obs"
 	"mpppb/internal/parallel"
@@ -98,6 +97,14 @@ func main() {
 			segs = append(segs, s)
 		}
 	}
+	pols := strings.Split(*policies, ",")
+	for i := range pols {
+		pols[i] = strings.TrimSpace(pols[i])
+	}
+	if err := sim.CheckNames("policy", pols, mpppb.Policies()); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-sim: -policy: %v\n", err)
+		os.Exit(1)
+	}
 
 	type fingerprintConfig struct {
 		Tool    string `json:"tool"`
@@ -143,10 +150,13 @@ func main() {
 		pname string
 	}
 	var jobs []job
+	var keys []string
 	for _, b := range benches {
 		for _, s := range segs {
-			for _, pname := range strings.Split(*policies, ",") {
-				jobs = append(jobs, job{workload.SegmentID{Bench: b, Seg: s}, strings.TrimSpace(pname)})
+			for _, pname := range pols {
+				id := workload.SegmentID{Bench: b, Seg: s}
+				jobs = append(jobs, job{id, pname})
+				keys = append(keys, "sim/"+id.String()+"/"+pname)
 			}
 		}
 	}
@@ -154,78 +164,36 @@ func main() {
 		Res  mpppb.Result `json:"res"`
 		Info string       `json:"info,omitempty"`
 	}
-	for _, jb := range jobs {
-		status.AddCells("sim/" + jb.id.String() + "/" + jb.pname)
-	}
-	opts := parallel.RunOpts{KeepGoing: true}
-	rows, rowErrs, err := parallel.MapErr(ctx, opts, len(jobs), func(ctx context.Context, i int) (rowInfo, error) {
+	run := &experiments.Run{Ctx: ctx, Journal: jrnl, KeepGoing: true, Status: status}
+	rows, rowErrs, err := experiments.RunCells(run, keys, func(_ context.Context, i int) (rowInfo, error) {
 		jb := jobs[i]
-		key := "sim/" + jb.id.String() + "/" + jb.pname
-		status.CellRunning(key)
-		var row rowInfo
-		if hit, err := jrnl.Load(key, &row); err != nil {
-			return rowInfo{}, err
-		} else if hit {
-			status.CellDone(key, obs.CellJournal, 0)
-			return row, nil
-		}
-		t0 := time.Now()
-		if *verbose && strings.HasPrefix(jb.pname, "mpppb") {
+		if *verbose {
 			res, info, err := mpppb.RunVerbose(cfg, jb.id, jb.pname)
-			if err != nil {
-				return rowInfo{}, err
-			}
-			row = rowInfo{Res: res, Info: info}
-		} else {
-			res, err := mpppb.Run(cfg, jb.id, jb.pname)
-			if err != nil {
-				return rowInfo{}, err
-			}
-			row = rowInfo{Res: res}
+			return rowInfo{Res: res, Info: info}, err
 		}
-		status.CellDone(key, obs.CellOK, time.Since(t0))
-		return row, jrnl.Record(key, row)
+		res, err := mpppb.Run(cfg, jb.id, jb.pname)
+		return rowInfo{Res: res}, err
 	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "mpppb-sim: interrupted")
-			if jf.Path != "" {
-				fmt.Fprintf(os.Stderr, "mpppb-sim: completed runs saved; re-run with -journal %s -resume to continue\n", jf.Path)
-			}
-			os.Exit(130)
-		}
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "segment\tpolicy\tIPC\tMPKI\tLLC misses\tbypasses")
-	failed := 0
-	for i, jb := range jobs {
-		if rowErrs[i] != nil {
-			failed++
-			fmt.Fprintf(w, "%s\t%s\tNA\tNA\tNA\tNA\n", jb.id, jb.pname)
-			continue
-		}
-		res := rows[i].Res
-		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%d\t%d\n",
-			jb.id, jb.pname, res.IPC, res.MPKI, res.LLCMisses, res.Bypasses)
-	}
-	w.Flush()
-	for i, jb := range jobs {
-		if rowErrs[i] == nil && rows[i].Info != "" {
-			fmt.Fprintf(os.Stderr, "\n--- %s on %s ---\n%s", jb.pname, jb.id, rows[i].Info)
-		}
-	}
-	if failed > 0 {
+	if err == nil {
+		w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+		fmt.Fprintln(w, "segment\tpolicy\tIPC\tMPKI\tLLC misses\tbypasses")
 		for i, jb := range jobs {
 			if rowErrs[i] != nil {
-				fmt.Fprintf(os.Stderr, "FAILED %s/%s: %v\n", jb.id, jb.pname, rowErrs[i])
-				jrnl.RecordFailure("sim/"+jb.id.String()+"/"+jb.pname, rowErrs[i])
-				status.CellDone("sim/"+jb.id.String()+"/"+jb.pname, obs.CellFailed, 0)
+				fmt.Fprintf(w, "%s\t%s\tNA\tNA\tNA\tNA\n", jb.id, jb.pname)
+				continue
+			}
+			res := rows[i].Res
+			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%d\t%d\n",
+				jb.id, jb.pname, res.IPC, res.MPKI, res.LLCMisses, res.Bypasses)
+		}
+		w.Flush()
+		for i, jb := range jobs {
+			if rowErrs[i] == nil && rows[i].Info != "" {
+				fmt.Fprintf(os.Stderr, "\n--- %s on %s ---\n%s", jb.pname, jb.id, rows[i].Info)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "mpppb-sim: %d of %d runs failed (NA cells above)\n", failed, len(jobs))
-		os.Exit(3)
+	}
+	if code := run.Finish(os.Stderr, "mpppb-sim", jf.Path, err); code != 0 {
+		os.Exit(code)
 	}
 }

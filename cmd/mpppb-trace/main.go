@@ -5,7 +5,7 @@
 //
 //	mpppb-trace -capture mcf_like-0 -n 2000000 -o mcf.trc
 //	mpppb-trace -stats mcf.trc
-//	mpppb-trace -replay mcf.trc -policy lru,mpppb
+//	mpppb-trace -replay mcf.trc -policy lru,mpppb,min
 //	mpppb-trace -ingest mytrace.csv -o mytrace.trc   # external traces
 //	mpppb-trace -ingest mytrace.jsonl -o mytrace.trc
 //	mpppb-trace -export mcf.trc > mcf.csv
@@ -26,15 +26,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
-	"time"
 
+	"mpppb/internal/experiments"
 	"mpppb/internal/journal"
 	"mpppb/internal/obs"
 	"mpppb/internal/parallel"
@@ -226,6 +225,13 @@ func main() {
 			100*float64(cold)/float64(len(recs)))
 
 	case *replay != "":
+		pols := strings.Split(*policies, ",")
+		for i := range pols {
+			pols[i] = strings.TrimSpace(pols[i])
+		}
+		if err := sim.CheckNames("policy", pols, append(sim.PolicyNames(), "min")); err != nil {
+			fatal("-policy: %v", err)
+		}
 		recs, hash := loadHashed(*replay)
 		// Transpose once; every per-policy replay cursor shares the same
 		// read-only column store.
@@ -259,71 +265,48 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 
-		// Policies replay independently: each worker gets its own replay
-		// cursor over the shared (read-only) record slice.
-		pols := strings.Split(*policies, ",")
-		type replayRes struct {
-			Res   sim.Result `json:"res"`
-			Wraps uint64     `json:"wraps"`
-		}
-		for _, pname := range pols {
-			status.AddCells("replay/" + hash + "/" + strings.TrimSpace(pname))
-		}
-		opts := parallel.RunOpts{KeepGoing: true}
-		results, polErrs, err := parallel.MapErr(ctx, opts, len(pols), func(ctx context.Context, i int) (replayRes, error) {
-			pname := strings.TrimSpace(pols[i])
-			key := "replay/" + hash + "/" + pname
-			status.CellRunning(key)
-			var rr replayRes
-			if hit, err := jrnl.Load(key, &rr); err != nil {
-				return replayRes{}, err
-			} else if hit {
-				status.CellDone(key, obs.CellJournal, 0)
-				return rr, nil
-			}
-			pf, err := sim.Policy(pname)
-			if err != nil {
-				return replayRes{}, err
-			}
-			t0 := time.Now()
-			gen := trace.NewColumnarReplay(*replay, cols)
-			res := sim.RunSingle(cfg, gen, pf)
-			rr = replayRes{Res: res, Wraps: gen.Wraps}
-			status.CellDone(key, obs.CellOK, time.Since(t0))
-			return rr, jrnl.Record(key, rr)
-		})
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "mpppb-trace: interrupted")
-				if jf.Path != "" {
-					fmt.Fprintf(os.Stderr, "mpppb-trace: completed replays saved; re-run with -journal %s -resume to continue\n", jf.Path)
-				}
-				os.Exit(130)
-			}
-			fatal("%v", err)
-		}
-		failed := 0
+		// Policies replay independently: each cell gets its own replay
+		// cursor over the shared (read-only) column store.
+		keys := make([]string, len(pols))
 		for i, pname := range pols {
-			pname = strings.TrimSpace(pname)
-			if polErrs[i] != nil {
-				failed++
-				fmt.Printf("%-14s FAILED: %v\n", pname, polErrs[i])
-				jrnl.RecordFailure("replay/"+hash+"/"+pname, polErrs[i])
-				status.CellDone("replay/"+hash+"/"+pname, obs.CellFailed, 0)
-				continue
-			}
-			fmt.Printf("%-14s IPC %.3f  MPKI %.2f  (replay wrapped %d times)\n",
-				pname, results[i].Res.IPC, results[i].Res.MPKI, results[i].Wraps)
+			keys[i] = "replay/" + hash + "/" + pname
 		}
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "mpppb-trace: %d of %d replays failed\n", failed, len(pols))
-			os.Exit(3)
+		run := &experiments.Run{Ctx: ctx, Journal: jrnl, KeepGoing: true, Status: status}
+		results, polErrs, err := experiments.RunCells(run, keys, func(_ context.Context, i int) (replayRes, error) {
+			return replayCell(cfg, *replay, cols, pols[i])
+		})
+		if err == nil {
+			for i, pname := range pols {
+				if polErrs[i] != nil {
+					fmt.Printf("%-14s FAILED: %v\n", pname, polErrs[i])
+					continue
+				}
+				fmt.Printf("%-14s IPC %.3f  MPKI %.2f  (replay wrapped %d times)\n",
+					pname, results[i].Res.IPC, results[i].Res.MPKI, results[i].Wraps)
+			}
+		}
+		if code := run.Finish(os.Stderr, "mpppb-trace", jf.Path, err); code != 0 {
+			os.Exit(code)
 		}
 
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// replayRes is one replay cell's journaled value.
+type replayRes struct {
+	Res   sim.Result `json:"res"`
+	Wraps uint64     `json:"wraps"`
+}
+
+// replayCell replays the trace columns under one policy ("min" included)
+// through a fresh cursor.
+func replayCell(cfg sim.Config, name string, cols *trace.Columns, pname string) (replayRes, error) {
+	gen := trace.NewColumnarReplay(name, cols)
+	res, err := sim.RunNamed(cfg, gen, pname)
+	return replayRes{Res: res, Wraps: gen.Wraps}, err
 }
 
 func load(path string) []trace.Record {

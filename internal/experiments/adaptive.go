@@ -70,7 +70,7 @@ func AdaptiveVsStatic(cfg sim.Config, staticPolicy, adaptivePolicy string, segs 
 	for i, id := range segs {
 		keys[i] = "adapt/" + id.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (adaptCell, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (adaptCell, error) {
 		id := segs[i]
 		c := adaptCell{Static: make([]float64, seeds), Adaptive: make([]float64, seeds)}
 		for s := 0; s < seeds; s++ {

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -23,11 +24,13 @@ import (
 	"mpppb/internal/workload"
 )
 
-// Cell-grid metrics: one observation per cell, fed by runCells — the
-// single choke point every experiment driver funnels through.
+// Cell-grid metrics: one observation per cell, fed by RunCells — the
+// single choke point every experiment driver and every cmd tool's grid
+// (mpppb-sim, -sweep, -roc, -trace -replay) funnels through. The names
+// keep their experiments prefix so dashboards survive.
 var (
 	mCellsDeclared = obs.Default().Gauge("mpppb_experiments_cells_total",
-		"grid cells declared by the experiment drivers this run")
+		"grid cells declared by the cell-grid runner this run")
 	mCellsComputed = obs.Default().Counter("mpppb_experiments_cells_computed_total",
 		"cells computed to completion (excludes journal hits)")
 	mCellsJournal = obs.Default().Counter("mpppb_experiments_cells_journal_total",
@@ -198,7 +201,8 @@ func (r *Run) addFailure(key string, err error) {
 }
 
 // Failures returns the cells that failed permanently during this Run, in
-// no particular order. Empty on a clean run (and always on a nil Run).
+// the order the grids ran and in grid order within each. Empty on a clean
+// run (and always on a nil Run).
 func (r *Run) Failures() []CellFailure {
 	if r == nil {
 		return nil
@@ -208,25 +212,74 @@ func (r *Run) Failures() []CellFailure {
 	return append([]CellFailure(nil), r.failures...)
 }
 
-// runCells executes one cell grid: for each key, either serve the cell
-// from the journal or compute and journal it, fanning across the pool per
-// the Run's options. It is the single choke point where checkpointing and
-// failure accounting meet, so every experiment driver gets identical fault
-// semantics. Cancellation errors are never recorded as cell failures — an
-// interrupted cell is simply absent and recomputes on resume.
-func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
+// Finish ends a cmd tool's grid run and returns the process exit code,
+// writing the reason to w (stderr): 130 when err is a cancellation, with
+// a -resume hint naming journalPath (the -journal flag) when it is set; 1
+// for any other err; 3 after one "FAILED key: err" line per failed cell,
+// in grid order; 0 on a clean run. A fleet coordinator first lingers
+// until live workers have fetched the final grid, so they can render the
+// same tables.
+func (r *Run) Finish(w io.Writer, tool, journalPath string, err error) int {
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(w, "%s: interrupted", tool)
+		if journalPath != "" {
+			fmt.Fprintf(w, "; completed cells are saved — re-run with -journal %s -resume to continue\n", journalPath)
+		} else {
+			fmt.Fprintln(w, " (hint: -journal FILE makes runs resumable)")
+		}
+		return 130
+	case err != nil:
+		fmt.Fprintf(w, "%s: %v\n", tool, err)
+		return 1
+	}
 	if r != nil && r.Fleet != nil {
-		return runCellsCoordinator[T](r, keys)
+		r.Fleet.SettleWorkers(r.ctx(), 2*r.Fleet.TTL())
 	}
-	if r != nil && r.FleetWorker != nil {
-		return runCellsWorker(r, keys, compute)
+	failures := r.Failures()
+	if len(failures) == 0 {
+		return 0
 	}
+	fmt.Fprintf(w, "%s: %d cell(s) failed permanently; their entries render as NaN or NA and -resume recomputes them:\n", tool, len(failures))
+	for _, f := range failures {
+		fmt.Fprintf(w, "  FAILED %s: %v\n", f.Key, f.Err)
+	}
+	return 3
+}
+
+// RunCells executes one cell grid: for each key, either serve the cell
+// from the journal or compute and journal it, fanning across the pool per
+// the Run's options (or across the fleet when Fleet or FleetWorker is
+// set). It is the single choke point where checkpointing and failure
+// accounting meet, so every experiment driver and every cmd tool's grid
+// gets identical fault semantics. Cancellation errors are never recorded
+// as cell failures — an interrupted cell is simply absent and recomputes
+// on resume.
+func RunCells[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	trk := r.prog().tracker(len(keys))
-	st := r.status()
-	st.AddCells(keys...)
+	r.status().AddCells(keys...)
 	mCellsDeclared.Add(int64(len(keys)))
+	var results []T
+	var errs []error
+	var err error
+	switch {
+	case r != nil && r.Fleet != nil:
+		results, errs, err = runCellsCoordinator[T](r, keys, trk)
+	case r != nil && r.FleetWorker != nil:
+		results, errs, err = runCellsWorker(r, keys, compute, trk)
+	default:
+		results, errs, err = runCellsLocal(r, keys, compute, trk)
+	}
+	settleFailures(r, keys, errs)
+	return results, errs, err
+}
+
+// runCellsLocal runs one grid on this process's pool, serving journal
+// hits and journaling each computed cell as it finishes.
+func runCellsLocal[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error), trk *tracker) ([]T, []error, error) {
+	st := r.status()
 	j := r.jrnl()
-	results, errs, err := parallel.MapErr(r.ctx(), r.popts(), len(keys), func(ctx context.Context, i int) (T, error) {
+	return parallel.MapErr(r.ctx(), r.popts(), len(keys), func(ctx context.Context, i int) (T, error) {
 		var v T
 		st.CellRunning(keys[i])
 		if ok, lerr := j.Load(keys[i], &v); lerr != nil {
@@ -241,7 +294,7 @@ func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i 
 		v, cerr := compute(ctx, i)
 		if cerr != nil {
 			// Failures (panics included, which MapErr captures) are
-			// settled below, after MapErr returns.
+			// settled by RunCells once MapErr returns.
 			return v, cerr
 		}
 		if rerr := j.Record(keys[i], v); rerr != nil {
@@ -254,30 +307,13 @@ func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i 
 		trk.step("%s", keys[i])
 		return v, nil
 	})
-	for i, e := range errs {
-		if e == nil || errors.Is(e, context.Canceled) {
-			continue
-		}
-		j.RecordFailure(keys[i], e)
-		r.addFailure(keys[i], e)
-		st.CellDone(keys[i], obs.CellFailed, 0)
-		mCellsFailed.Inc()
-	}
-	return results, errs, err
 }
 
 // runCellsCoordinator runs one grid in fleet-coordinator mode: declare the
 // cells on the board, serve journal hits, and wait for workers to lease
-// and complete the rest. Results arrive as the raw JSON the worker
-// uploaded (already merged into the journal by the board) and decode into
-// T exactly as a -resume run decodes its journal — the same losslessness
-// contract, so fleet tables are byte-identical to local ones.
-func runCellsCoordinator[T any](r *Run, keys []string) ([]T, []error, error) {
-	trk := r.prog().tracker(len(keys))
-	st := r.status()
-	st.AddCells(keys...)
-	mCellsDeclared.Add(int64(len(keys)))
-	raws, errs, runErr := fleet.Coordinate(r.ctx(), r.Fleet, keys, func(i int, key string, fromJournal bool, cellErr error) {
+// and complete the rest.
+func runCellsCoordinator[T any](r *Run, keys []string, trk *tracker) ([]T, []error, error) {
+	raws, errs, err := fleet.Coordinate(r.ctx(), r.Fleet, keys, func(i int, key string, fromJournal bool, cellErr error) {
 		switch {
 		case cellErr != nil:
 		case fromJournal:
@@ -288,29 +324,16 @@ func runCellsCoordinator[T any](r *Run, keys []string) ([]T, []error, error) {
 			trk.step("%s (fleet)", key)
 		}
 	})
-	results := make([]T, len(keys))
-	for i, raw := range raws {
-		if errs[i] != nil || raw == nil {
-			continue
-		}
-		if uerr := json.Unmarshal(raw, &results[i]); uerr != nil {
-			errs[i] = fmt.Errorf("fleet: decode %s: %w", keys[i], uerr)
-		}
-	}
-	settleFailures(r, keys, errs)
-	return results, errs, runErr
+	return decodeCells[T](keys, raws, errs), errs, err
 }
 
 // runCellsWorker runs one grid in fleet-worker mode: lease cells from the
 // coordinator, compute each once locally, upload results, and — once the
 // coordinator reports the grid drained — fetch every cell so this process
-// can emit the same tables the coordinator does. No local journal is written; the coordinator owns it.
-func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
-	trk := r.prog().tracker(len(keys))
-	st := r.status()
-	st.AddCells(keys...)
-	mCellsDeclared.Add(int64(len(keys)))
-	raws, errs, runErr := r.FleetWorker.Run(r.ctx(), keys, func(ctx context.Context, i int) (any, error) {
+// can emit the same tables the coordinator does. No local journal is
+// written; the coordinator owns it.
+func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error), trk *tracker) ([]T, []error, error) {
+	raws, errs, err := r.FleetWorker.Run(r.ctx(), keys, func(ctx context.Context, i int) (any, error) {
 		t0 := time.Now()
 		v, cerr := compute(ctx, i)
 		if cerr != nil {
@@ -322,9 +345,17 @@ func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Conte
 		trk.step("%s", keys[i])
 		return v, nil
 	})
-	if runErr != nil && len(raws) == 0 {
-		return nil, nil, runErr
+	if err != nil && len(raws) == 0 {
+		return nil, nil, err
 	}
+	return decodeCells[T](keys, raws, errs), errs, err
+}
+
+// decodeCells decodes a fleet grid's raw cell values (the bytes the
+// journal holds) into T exactly as a -resume run decodes its journal —
+// the same losslessness contract, so fleet tables are byte-identical to
+// local ones. A value that does not decode becomes that cell's error.
+func decodeCells[T any](keys []string, raws []json.RawMessage, errs []error) []T {
 	results := make([]T, len(keys))
 	for i, raw := range raws {
 		if errs[i] != nil || raw == nil {
@@ -334,13 +365,12 @@ func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Conte
 			errs[i] = fmt.Errorf("fleet: decode %s: %w", keys[i], uerr)
 		}
 	}
-	settleFailures(r, keys, errs)
-	return results, errs, runErr
+	return results
 }
 
-// settleFailures records permanent cell failures after a fleet grid
-// resolves: the Run's failure list, the /status manifest, and the journal
-// (coordinator only; a worker's jrnl() is nil). Cancellations are not
+// settleFailures records permanent cell failures after a grid resolves,
+// in grid order: the Run's failure list, the /status manifest, and the
+// journal (a fleet worker's jrnl() is nil). Cancellations are not
 // failures — those cells recompute on resume.
 func settleFailures(r *Run, keys []string, errs []error) {
 	j := r.jrnl()

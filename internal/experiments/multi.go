@@ -62,7 +62,7 @@ func MultiCore(cfg sim.Config, policies []string, mixes []workload.Mix, r *Run) 
 	for i, mix := range mixes {
 		keys[i] = "multi/" + mix.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (mixCell, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (mixCell, error) {
 		mix := mixes[i]
 		single := singles.For(mix)
 		lruRes := sim.RunMulti(cfg, mix, lruPF)

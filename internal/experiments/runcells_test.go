@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestRunCellsPanicFailsOnceAndResumeRecomputes(t *testing.T) {
 		}
 		var calls [4]atomic.Int64
 		r := &Run{Journal: j, Workers: workers, KeepGoing: true}
-		vals, errs, err := runCells(r, keys, func(_ context.Context, i int) (int, error) {
+		vals, errs, err := RunCells(r, keys, func(_ context.Context, i int) (int, error) {
 			calls[i].Add(1)
 			if i == 2 {
 				panic("cell c exploded")
@@ -66,7 +67,7 @@ func TestRunCellsPanicFailsOnceAndResumeRecomputes(t *testing.T) {
 		}
 		var recomputed []string
 		r = &Run{Journal: j, Workers: 1, KeepGoing: true}
-		vals, errs, err = runCells(r, keys, func(_ context.Context, i int) (int, error) {
+		vals, errs, err = RunCells(r, keys, func(_ context.Context, i int) (int, error) {
 			recomputed = append(recomputed, keys[i])
 			return 10 * i, nil
 		})
@@ -76,6 +77,40 @@ func TestRunCellsPanicFailsOnceAndResumeRecomputes(t *testing.T) {
 		}
 		if fmt.Sprint(recomputed) != "[c]" {
 			t.Fatalf("workers=%d: resume recomputed %v, want only [c]", workers, recomputed)
+		}
+	}
+}
+
+// TestFinishExitCodes pins the epilogue every cmd tool shares: 130 on an
+// interrupt (with the -resume hint only when a journal path is set), 3
+// with one FAILED line per failed cell in grid order, 1 on any other
+// error, 0 on a clean run.
+func TestFinishExitCodes(t *testing.T) {
+	failed := &Run{KeepGoing: true}
+	RunCells(failed, []string{"g/a", "g/b", "g/c", "g/d"}, func(_ context.Context, i int) (int, error) {
+		if i%2 == 1 {
+			return 0, fmt.Errorf("cell %d broke", i)
+		}
+		return i, nil
+	})
+	for _, tc := range []struct {
+		run     *Run
+		journal string
+		err     error
+		code    int
+		out     string
+	}{
+		{&Run{}, "run.journal", fmt.Errorf("grid: %w", context.Canceled), 130,
+			"tool: interrupted; completed cells are saved — re-run with -journal run.journal -resume to continue\n"},
+		{&Run{}, "", context.Canceled, 130, "tool: interrupted (hint: -journal FILE makes runs resumable)\n"},
+		{failed, "", nil, 3, "tool: 2 cell(s) failed permanently; their entries render as NaN or NA and -resume recomputes them:\n" +
+			"  FAILED g/b: cell 1 broke\n  FAILED g/d: cell 3 broke\n"},
+		{failed, "run.journal", errors.New("disk full"), 1, "tool: disk full\n"},
+		{&Run{}, "run.journal", nil, 0, ""},
+	} {
+		var w strings.Builder
+		if code := tc.run.Finish(&w, "tool", tc.journal, tc.err); code != tc.code || w.String() != tc.out {
+			t.Errorf("Finish(journal %q, %v) = %d, %q; want %d, %q", tc.journal, tc.err, code, w.String(), tc.code, tc.out)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func SingleThread(cfg sim.Config, policies []string, benches []string, r *Run) (
 	for i, id := range ids {
 		keys[i] = "single/" + id.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (segCell, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (segCell, error) {
 		id := ids[i]
 		c := segCell{IPC: map[string]float64{}, MPKI: map[string]float64{}}
 		gen := workload.NewGenerator(id, workload.CoreBase(0))

@@ -40,9 +40,6 @@ type WorkerConfig struct {
 	// Status, when non-nil, mirrors this worker's cell activity into its
 	// local /status manifest.
 	Status *obs.RunStatus
-	// Progress, when non-nil, is called after each cell this worker
-	// resolves locally.
-	Progress func(key string, err error)
 	// Poll is the sleep between empty lease responses; 0 means
 	// DefaultPoll.
 	Poll time.Duration
@@ -306,9 +303,6 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 			}
 			mWorkerCompleted.Inc()
 			w.cfg.Status.CellDone(key, obs.CellOK, 0)
-			if w.cfg.Progress != nil {
-				w.cfg.Progress(key, nil)
-			}
 			return
 		}
 	}
@@ -321,9 +315,6 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 	}
 	mWorkerFailed.Inc()
 	w.cfg.Status.CellDone(key, obs.CellFailed, 0)
-	if w.cfg.Progress != nil {
-		w.cfg.Progress(key, cellErr)
-	}
 }
 
 // report uploads a completion or failure, retrying transient HTTP errors

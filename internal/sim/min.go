@@ -24,3 +24,17 @@ func RunSingleMIN(cfg Config, gen trace.Generator) (lru, min Result) {
 	min.Segment = gen.Name()
 	return lru, min
 }
+
+// RunNamed runs gen on the single-thread machine under the named policy:
+// a registered one, or "min" for the two-pass Bélády simulation.
+func RunNamed(cfg Config, gen trace.Generator, name string) (Result, error) {
+	if name == "min" {
+		_, res := RunSingleMIN(cfg, gen)
+		return res, nil
+	}
+	pf, err := Policy(name)
+	if err != nil {
+		return Result{}, err
+	}
+	return RunSingle(cfg, gen, pf), nil
+}

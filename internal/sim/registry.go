@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"mpppb/internal/cache"
 	"mpppb/internal/core"
@@ -115,6 +117,22 @@ func adaptiveParams(p core.Params) core.Params {
 		p.Duel.Candidates = duelCandidates
 	}
 	return p
+}
+
+// ConfidenceNames lists the predictors Confidence accepts.
+func ConfidenceNames() []string { return []string{"sdbp", "perceptron", "mpppb"} }
+
+// CheckNames returns an error naming the first of names that is not in
+// valid and listing the valid ones, so a tool can refuse an unknown
+// -policy or -predictor before it declares or journals a single cell.
+// kind names the flag's subject ("policy", "predictor").
+func CheckNames(kind string, names, valid []string) error {
+	for _, n := range names {
+		if !slices.Contains(valid, n) {
+			return fmt.Errorf("unknown %s %q (valid: %s)", kind, n, strings.Join(valid, " "))
+		}
+	}
+	return nil
 }
 
 // Confidence looks up a ConfidenceFactory for the predictors whose

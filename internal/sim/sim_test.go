@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"mpppb/internal/cache"
@@ -63,6 +65,21 @@ func TestPolicyRegistry(t *testing.T) {
 	}
 	if _, err := Confidence("hawkeye"); err == nil {
 		t.Fatal("hawkeye must not expose confidences (Section 6.3)")
+	}
+	for _, n := range ConfidenceNames() {
+		if _, err := Confidence(n); err != nil {
+			t.Errorf("ConfidenceNames lists %q: %v", n, err)
+		}
+	}
+	if err := CheckNames("policy", names, names); err != nil {
+		t.Fatalf("registered names rejected: %v", err)
+	}
+	// "" is a trailing comma in -policy; "min" is no registered policy.
+	for _, bad := range []string{"bogus", "", "min"} {
+		err := CheckNames("policy", []string{"lru", bad, "nonesuch"}, names)
+		if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("unknown policy %q (valid: bip ", bad)) {
+			t.Errorf("CheckNames with %q = %v, want it named first with the valid list", bad, err)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@
 package mpppb
 
 import (
-	"fmt"
 	"io"
 
 	"mpppb/internal/cache"
@@ -74,40 +73,33 @@ func Policies() []string { return append(sim.PolicyNames(), "min") }
 // Run simulates one segment under the named policy on the single-thread
 // machine. The policy name "min" triggers the two-pass Bélády simulation.
 func Run(cfg Config, id SegmentID, policyName string) (Result, error) {
-	gen := workload.NewGenerator(id, workload.CoreBase(0))
+	return sim.RunNamed(cfg, workload.NewGenerator(id, workload.CoreBase(0)), policyName)
+}
+
+// RunVerbose is Run plus a human-readable report of the policy's decision
+// counters and trained per-feature weight statistics (the Section 5.4-style
+// feature analysis) when the named policy is a multiperspective predictor
+// (any mpppb* variant). Any other policy gets an empty report.
+func RunVerbose(cfg Config, id SegmentID, policyName string) (Result, string, error) {
 	if policyName == "min" {
-		_, res := sim.RunSingleMIN(cfg, gen)
-		return res, nil
+		res, err := Run(cfg, id, policyName)
+		return res, "", err
 	}
 	pf, err := sim.Policy(policyName)
 	if err != nil {
-		return Result{}, err
+		return Result{}, "", err
 	}
-	return sim.RunSingle(cfg, gen, pf), nil
-}
-
-// RunVerbose is Run for the MPPPB policies ("mpppb", "mpppb-srrip"),
-// additionally returning a human-readable report of the policy's decision
-// counters and trained per-feature weight statistics (the Section 5.4-style
-// feature analysis).
-func RunVerbose(cfg Config, id SegmentID, policyName string) (Result, string, error) {
-	var params core.Params
-	switch policyName {
-	case "mpppb":
-		params = core.SingleThreadParams()
-	case "mpppb-srrip":
-		params = core.MultiCoreParams()
-	default:
-		return Result{}, "", fmt.Errorf("mpppb: RunVerbose supports mpppb and mpppb-srrip, not %q", policyName)
-	}
-	var pol *core.MPPPB
+	var pol cache.ReplacementPolicy
 	gen := workload.NewGenerator(id, workload.CoreBase(0))
 	res := sim.RunSingle(cfg, gen, func(sets, ways int) cache.ReplacementPolicy {
-		pol = core.NewMPPPB(sets, ways, params)
+		pol = pf(sets, ways)
 		return pol
 	})
-	info := pol.Stats().String() + "\n" + core.FormatWeightStats(pol.Predictor().WeightStats())
-	return res, info, nil
+	m, ok := pol.(*core.MPPPB)
+	if !ok {
+		return res, "", nil
+	}
+	return res, m.Stats().String() + "\n" + core.FormatWeightStats(m.Predictor().WeightStats()), nil
 }
 
 // RunMix simulates a 4-core mix under the named policy on the multi-core
@@ -203,14 +195,5 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) { return trace.ReadAll(r) }
 // once into column-major form so the simulator's batch cursor refills by
 // bulk column copies.
 func RunTrace(cfg Config, name string, recs []TraceRecord, policyName string) (Result, error) {
-	gen := trace.NewColumnarReplay(name, trace.ColumnsOf(recs))
-	if policyName == "min" {
-		_, res := sim.RunSingleMIN(cfg, gen)
-		return res, nil
-	}
-	pf, err := sim.Policy(policyName)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.RunSingle(cfg, gen, pf), nil
+	return sim.RunNamed(cfg, trace.NewColumnarReplay(name, trace.ColumnsOf(recs)), policyName)
 }

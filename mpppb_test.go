@@ -39,8 +39,13 @@ func TestRunUnknownPolicy(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("err = %v", err)
 	}
+	if _, _, err := RunVerbose(quickCfg(), Segment("mcf_like", 0), "nonesuch"); err == nil {
+		t.Fatal("RunVerbose accepted an unknown policy")
+	}
 }
 
+// TestRunAllPoliciesOneSegment also pins RunVerbose: the same result as
+// Run for every policy, with a report exactly for the mpppb* variants.
 func TestRunAllPoliciesOneSegment(t *testing.T) {
 	cfg := quickCfg()
 	seg := Segment("sphinx3_like", 0)
@@ -51,6 +56,10 @@ func TestRunAllPoliciesOneSegment(t *testing.T) {
 		}
 		if res.IPC <= 0 {
 			t.Errorf("%s: IPC %g", p, res.IPC)
+		}
+		vres, info, err := RunVerbose(cfg, seg, p)
+		if err != nil || vres.Deterministic() != res.Deterministic() || (info != "") != strings.HasPrefix(p, "mpppb") {
+			t.Errorf("%s: RunVerbose = (%+v, report %q, %v), want Run's result and a report iff mpppb*", p, vres, info, err)
 		}
 	}
 }
