@@ -14,7 +14,7 @@ vet:
 
 test: vet
 	$(GO) test -shuffle=on ./...
-	$(GO) test -tags verify ./internal/cache ./internal/verify
+	$(GO) test -tags verify ./internal/cache ./internal/verify ./internal/core ./internal/sim ./internal/serve
 
 # Race-detector pass over the concurrent packages: the worker pool, the
 # single-flight caches, the experiment drivers that fan across them, the

@@ -31,6 +31,7 @@ import (
 	"mpppb/internal/core"
 	"mpppb/internal/obs"
 	"mpppb/internal/serve"
+	"mpppb/internal/sim"
 	"mpppb/internal/stats"
 	"mpppb/internal/workload"
 )
@@ -122,6 +123,9 @@ func runServer(addr string, params core.Params, sets, shards int, check bool, dr
 func runClient(addr string, params core.Params, bench string, seg, n, batch, sets, ways int, clientID uint64, verifyInline bool) error {
 	if !workload.Lookup(bench) {
 		return fmt.Errorf("unknown benchmark %q", bench)
+	}
+	if err := sim.CheckSegment(seg, false); err != nil {
+		return fmt.Errorf("-seg: %v", err)
 	}
 	gen := workload.NewGenerator(workload.SegmentID{Bench: bench, Seg: seg}, 0)
 	events := serve.Annotate(gen, n, sets, ways, params)

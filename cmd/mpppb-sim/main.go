@@ -89,6 +89,10 @@ func main() {
 		}
 		benches = []string{*bench}
 	}
+	if err := sim.CheckSegment(*seg, true); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-sim: -seg: %v\n", err)
+		os.Exit(1)
+	}
 	var segs []int
 	if *seg >= 0 {
 		segs = []int{*seg}

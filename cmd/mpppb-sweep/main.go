@@ -54,6 +54,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
 		os.Exit(1)
 	}
+	if err := sim.CheckSegment(*seg, false); err != nil {
+		fmt.Fprintf(os.Stderr, "mpppb-sweep: -seg: %v\n", err)
+		os.Exit(1)
+	}
 	id := mpppb.Segment(*bench, *seg)
 	pols := strings.Split(*policies, ",")
 	for i := range pols {

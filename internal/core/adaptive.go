@@ -354,9 +354,8 @@ func (v *Advisor) thresholdsFor(set int) *ThresholdSet {
 }
 
 // duelVote records one non-writeback miss with the duel, if adaptive mode
-// is on. Both decision paths (the inline policy's Victim/Fill hooks and
-// AdviseMiss) call it exactly once per miss, before reading thresholds, so
-// their state evolution stays bit-identical.
+// is on. AdviseMiss calls it exactly once per miss, before reading
+// thresholds.
 func (v *Advisor) duelVote(set int) {
 	if v.duel != nil {
 		v.duel.vote(set)
@@ -397,15 +396,6 @@ func (v *Advisor) DuelSnapshot() (DuelSnapshot, bool) {
 		Misses:   append([]uint32(nil), d.misses...),
 		Switches: d.switches,
 	}, true
-}
-
-// DuelCandidates returns the resolved candidate lineup (nil when adaptive
-// mode is off).
-func (v *Advisor) DuelCandidates() []ThresholdSet {
-	if v.duel == nil {
-		return nil
-	}
-	return append([]ThresholdSet(nil), v.duel.cands...)
 }
 
 // DuelLeaderKind returns the candidate index whose leader group owns the

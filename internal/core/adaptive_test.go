@@ -3,9 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"mpppb/internal/cache"
-	"mpppb/internal/trace"
 )
 
 func TestThresholdSetStringRoundTrip(t *testing.T) {
@@ -245,68 +242,6 @@ func TestDuelVoteIgnoresFollowers(t *testing.T) {
 	snap, _ := v.DuelSnapshot()
 	if snap.Events != 0 {
 		t.Fatalf("follower votes advanced the window: %+v", snap)
-	}
-}
-
-// TestAdaptiveAdvisorMirrorsMPPPB extends the decoupling guarantee to
-// adaptive mode: the same access stream through the inline adaptive
-// policy and a standalone adaptive advisor must leave identical decision
-// counters AND identical duel state (winner, PSEL, window position,
-// per-candidate miss counts, switch count). This pins the vote-ordering
-// rule — exactly one vote per non-writeback miss, taken before any
-// threshold read, on both paths.
-func TestAdaptiveAdvisorMirrorsMPPPB(t *testing.T) {
-	const sets, ways = 64, 4
-	params := AdaptiveSingleThreadParams()
-	params.SamplerSets = 16
-
-	m := NewMPPPB(sets, ways, params)
-	llc := cache.New("llc", sets, ways, m)
-	adv := NewAdvisor(sets, params)
-
-	gen := newTestGen(98765)
-	var rec trace.Record
-	for i := 0; i < 200_000; i++ {
-		gen.Next(&rec)
-		a := cache.Access{PC: rec.PC, Addr: rec.Addr, Type: trace.Load}
-		if rec.IsWrite {
-			a.Type = trace.Store
-		}
-		set := llc.SetIndex(a.Block())
-		r := llc.Access(a)
-		if r.Hit {
-			adv.AdviseHit(a, set)
-			continue
-		}
-		mayBypass := r.Bypassed || r.EvictedValid
-		ad := adv.AdviseMiss(a, set, mayBypass)
-		if ad.Bypass != r.Bypassed {
-			t.Fatalf("access %d: advisor bypass=%v, inline policy bypass=%v", i, ad.Bypass, r.Bypassed)
-		}
-	}
-
-	if m.Stats() != adv.Stats() {
-		t.Fatalf("decision counters diverged:\n  inline  %v\n  advisor %v", m.Stats(), adv.Stats())
-	}
-	mSnap, mOn := m.DuelSnapshot()
-	aSnap, aOn := adv.DuelSnapshot()
-	if !mOn || !aOn {
-		t.Fatalf("duel inactive: inline %v, advisor %v", mOn, aOn)
-	}
-	if mSnap.Winner != aSnap.Winner || mSnap.Psel != aSnap.Psel ||
-		mSnap.Events != aSnap.Events || mSnap.Switches != aSnap.Switches {
-		t.Fatalf("duel state diverged:\n  inline  %+v\n  advisor %+v", mSnap, aSnap)
-	}
-	for c := range mSnap.Misses {
-		if mSnap.Misses[c] != aSnap.Misses[c] {
-			t.Fatalf("candidate %d window misses: inline %d, advisor %d", c, mSnap.Misses[c], aSnap.Misses[c])
-		}
-	}
-	if mSnap.Events == 0 && mSnap.Switches == 0 && mSnap.Psel == 0 {
-		t.Fatal("degenerate run: the duel never saw a leader miss")
-	}
-	if err := adv.CheckState(); err != nil {
-		t.Fatal(err)
 	}
 }
 

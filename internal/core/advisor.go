@@ -9,8 +9,7 @@ import (
 // the accessed block (hit side) or about to fill it (miss side) should do.
 // It is a pure value — applying it to an actual cache array is the
 // caller's business — which is what lets the same engine drive the inline
-// MPPPB policy and the network serving path with identical state
-// evolution.
+// MPPPB policy and the network serving path.
 type Advice struct {
 	// Conf is the clamped predictor confidence (ConfMin..ConfMax); higher
 	// means more confidently dead.
@@ -35,11 +34,11 @@ type Advice struct {
 // does except touching a cache array. It is constructible and drivable
 // without a simulation run: feed it hit/miss events via AdviseHit and
 // AdviseMiss and it returns placement/promotion/bypass advice while
-// training itself exactly as the inline policy would.
+// training itself.
 //
-// MPPPB embeds an Advisor and layers the default-policy victim search and
-// the cache hook protocol on top; the serving layer (internal/serve)
-// drives Advisors directly, one per client.
+// MPPPB embeds an Advisor and applies its advice through the cache hooks
+// over a default policy; the serving layer (internal/serve) drives
+// Advisors directly, one per client.
 type Advisor struct {
 	params  Params
 	sets    int
@@ -63,9 +62,6 @@ type Advisor struct {
 // NewAdvisor builds a standalone advice engine modeling an LLC with the
 // given number of sets.
 func NewAdvisor(sets int, params Params) *Advisor {
-	if len(params.Features) == 0 {
-		panic("core: advisor requires a feature set")
-	}
 	if err := params.Validate(); err != nil {
 		panic("core: " + err.Error())
 	}
@@ -103,14 +99,6 @@ func (v *Advisor) Predict(a cache.Access, set int, insert bool) int {
 	return v.pred.Confidence(a, set, insert)
 }
 
-// predictAndTrain computes the confidence for the access and, if the set is
-// sampled, performs the sampler access that trains the tables.
-func (v *Advisor) predictAndTrain(a cache.Access, set int, insert bool) int {
-	conf := v.pred.predict(a, set, insert)
-	v.train(a, set, conf)
-	return conf
-}
-
 // train performs the sampler access that updates the weight tables, using
 // the index vector left in the predictor by its last prediction for this
 // same access.
@@ -121,24 +109,16 @@ func (v *Advisor) train(a cache.Access, set, conf int) {
 	}
 }
 
-// placement maps a confidence value to a recency position under the
-// static thresholds (duel candidate 0 in adaptive mode); per-set adaptive
-// decisions go through thresholdsFor instead. Kept for threshold-mapping
-// tests and probes.
-func (v *Advisor) placement(conf int) (pos, slot int) {
-	return v.static.placement(conf)
-}
-
 // AdviseHit is the hit-side decision (Section 3.6: "On a cache hit, if the
 // value exceeds a threshold τ4, then the block is not promoted"): predict,
-// train, decide promotion, and update predictor state. Its state evolution
-// is exactly MPPPB.Hit's. Writeback hits carry no prediction and leave all
-// state untouched, as in the inline policy.
+// train, decide promotion, and update predictor state. Writeback hits
+// carry no prediction and leave all state untouched.
 func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{}
 	}
-	conf := v.predictAndTrain(a, set, false)
+	conf := v.pred.predict(a, set, false)
+	v.train(a, set, conf)
 	ts := v.thresholdsFor(set)
 	adv := Advice{Conf: int16(conf)}
 	if conf > ts.Tau4 {
@@ -155,11 +135,9 @@ func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 // versus placement position, and update predictor state. mayBypass
 // reports whether the caller is able to decline the fill — false when the
 // set has an invalid frame, mirroring cache.Cache, which only consults
-// Victim (the bypass point) when the set is full. Its state evolution is
-// exactly the Victim+Fill (or bare Fill) sequence of the inline policy:
-// in adaptive mode the duel vote lands first, before any threshold read,
-// at both decision points. Writeback misses never allocate and leave all
-// state untouched.
+// Victim (the bypass point) when the set is full. In adaptive mode the
+// duel vote lands first, before any threshold read. Writeback misses
+// never allocate and leave all state untouched.
 func (v *Advisor) AdviseMiss(a cache.Access, set int, mayBypass bool) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{Bypass: true}

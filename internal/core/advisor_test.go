@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mpppb/internal/cache"
+	"mpppb/internal/policy"
 	"mpppb/internal/trace"
 )
 
@@ -47,22 +49,56 @@ func (g *testGen) Next(rec *trace.Record) {
 // AdviseHit events, misses become AdviseMiss events with mayBypass set
 // exactly when the cache consulted Victim (set full). The advisor must
 // reproduce the inline policy's bypass decisions access-for-access and end
-// with byte-identical predictor weights, sampler contents, and decision
-// counters — this is the decoupling guarantee the serving layer relies on.
+// with byte-identical predictor weights, sampler contents, decision
+// counters and, in adaptive mode, duel state — the decoupling guarantee
+// the serving layer relies on. A second default policy driven only by the
+// advisor's advice must match MPPPB's recency state after every access,
+// which pins how the hooks apply the advice to MDPP and SRRIP.
 func TestAdvisorMirrorsMPPPB(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		params Params
+		cores  int
+		seed   uint64
+	}{
+		{"mdpp", SingleThreadParams(), 1, 12345},
+		{"mdpp-adaptive", AdaptiveSingleThreadParams(), 1, 98765},
+		{"srrip-4core", MultiCoreParams(), 4, 24680},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mirrorMPPPB(t, c.params, c.cores, c.seed)
+		})
+	}
+}
+
+func mirrorMPPPB(t *testing.T, params Params, cores int, seed uint64) {
 	const sets, ways = 64, 4
-	params := SingleThreadParams()
 	params.SamplerSets = 16
 
 	m := NewMPPPB(sets, ways, params)
 	llc := cache.New("llc", sets, ways, m)
 	adv := NewAdvisor(sets, params)
+	var refMDPP *policy.MDPP
+	var refSRRIP *policy.SRRIP
+	if params.Default == DefaultMDPP {
+		refMDPP = policy.NewMDPP(sets, ways)
+	} else {
+		refSRRIP = policy.NewSRRIP(sets, ways)
+	}
+	// setPos applies an advised position to the reference default policy.
+	setPos := func(set, way int, pos int8) {
+		if refMDPP != nil {
+			refMDPP.PlaceAt(set, way, int(pos))
+		} else {
+			refSRRIP.SetRRPV(set, way, uint8(pos))
+		}
+	}
 
-	gen := newTestGen(12345)
+	gen := newTestGen(seed)
 	var rec trace.Record
 	for i := 0; i < 200_000; i++ {
 		gen.Next(&rec)
-		a := cache.Access{PC: rec.PC, Addr: rec.Addr, Type: trace.Load}
+		a := cache.Access{PC: rec.PC, Addr: rec.Addr, Type: trace.Load, Core: i % cores}
 		if rec.IsWrite {
 			a.Type = trace.Store
 		}
@@ -76,53 +112,66 @@ func TestAdvisorMirrorsMPPPB(t *testing.T) {
 			if ad.Bypass {
 				t.Fatalf("access %d: hit advice claims bypass", i)
 			}
-			continue
+			if ad.Promote {
+				setPos(set, r.Way, ad.Pos)
+			}
+		} else {
+			// The cache consulted Victim (the bypass point) iff the set was
+			// full: either the policy bypassed, or a valid block was evicted.
+			mayBypass := r.Bypassed || r.EvictedValid
+			ad := adv.AdviseMiss(a, set, mayBypass)
+			if ad.Bypass != r.Bypassed {
+				t.Fatalf("access %d: advisor bypass=%v, inline policy bypass=%v", i, ad.Bypass, r.Bypassed)
+			}
+			if !ad.Bypass {
+				if r.EvictedValid {
+					var w int
+					if refMDPP != nil {
+						w = refMDPP.VictimWay(set)
+					} else {
+						w, _ = refSRRIP.Victim(set, a)
+					}
+					if w != r.Way {
+						t.Fatalf("access %d: reference victim way %d, inline %d", i, w, r.Way)
+					}
+				}
+				setPos(set, r.Way, ad.Pos)
+			}
 		}
-		// The cache consulted Victim (the bypass point) iff the set was
-		// full: either the policy bypassed, or a valid block was evicted.
-		mayBypass := r.Bypassed || r.EvictedValid
-		ad := adv.AdviseMiss(a, set, mayBypass)
-		if ad.Bypass != r.Bypassed {
-			t.Fatalf("access %d: advisor bypass=%v, inline policy bypass=%v", i, ad.Bypass, r.Bypassed)
+		if refMDPP != nil {
+			if got, want := m.MDPP().Tree().Bits(set), refMDPP.Tree().Bits(set); got != want {
+				t.Fatalf("access %d: set %d mdpp bits %#x, advice-driven %#x", i, set, got, want)
+			}
+		} else {
+			for w := 0; w < ways; w++ {
+				if got, want := m.SRRIP().RRPV(set, w), refSRRIP.RRPV(set, w); got != want {
+					t.Fatalf("access %d: set %d way %d rrpv %d, advice-driven %d", i, set, w, got, want)
+				}
+			}
 		}
 	}
 
+	if m.Bypasses == 0 || m.TrainEvents == 0 || m.NoPromotes == 0 {
+		t.Fatalf("degenerate run: %v", m.Stats())
+	}
+	// In adaptive mode the duel state (winner, PSEL, window position,
+	// per-candidate miss counts, switch count) pins the vote-ordering rule:
+	// exactly one vote per non-writeback miss, before any threshold read.
+	mSnap, mOn := m.DuelSnapshot()
+	aSnap, _ := adv.DuelSnapshot()
+	if !reflect.DeepEqual(mSnap, aSnap) {
+		t.Fatalf("duel state diverged:\n  inline  %+v\n  advisor %+v", mSnap, aSnap)
+	}
+	if mOn != (params.Duel != nil) || mOn && mSnap.Events == 0 && mSnap.Switches == 0 && mSnap.Psel == 0 {
+		t.Fatalf("duel active=%v for Duel=%v, or it never saw a leader miss: %+v", mOn, params.Duel, mSnap)
+	}
+	// Everything else — counters, every weight, every sampler entry, the
+	// predictor's history and set metadata — must match as a whole.
 	if m.Stats() != adv.Stats() {
 		t.Fatalf("decision counters diverged:\n  inline  %v\n  advisor %v", m.Stats(), adv.Stats())
 	}
-	if m.Bypasses == 0 || m.TrainEvents == 0 {
-		t.Fatalf("degenerate run: bypasses=%d trains=%d", m.Bypasses, m.TrainEvents)
-	}
-
-	// Full state comparison: every weight and every sampler entry.
-	type weight struct{ feature, index int }
-	want := map[weight]int8{}
-	m.Predictor().ForEachWeight(func(f, ix int, w int8) { want[weight{f, ix}] = w })
-	adv.Predictor().ForEachWeight(func(f, ix int, w int8) {
-		if want[weight{f, ix}] != w {
-			t.Fatalf("weight table %d index %d: inline %d, advisor %d", f, ix, want[weight{f, ix}], w)
-		}
-	})
-	type sampKey struct{ set, pos int }
-	type sampVal struct {
-		tag  uint16
-		conf int
-	}
-	wantSamp := map[sampKey]sampVal{}
-	nInline := 0
-	m.ForEachSamplerEntry(func(set, pos int, tag uint16, conf int) {
-		wantSamp[sampKey{set, pos}] = sampVal{tag, conf}
-		nInline++
-	})
-	nAdv := 0
-	adv.ForEachSamplerEntry(func(set, pos int, tag uint16, conf int) {
-		nAdv++
-		if got := (sampVal{tag, conf}); wantSamp[sampKey{set, pos}] != got {
-			t.Fatalf("sampler set %d pos %d: inline %+v, advisor %+v", set, pos, wantSamp[sampKey{set, pos}], got)
-		}
-	})
-	if nInline != nAdv {
-		t.Fatalf("sampler entry count: inline %d, advisor %d", nInline, nAdv)
+	if !reflect.DeepEqual(*m.Advisor, *adv) {
+		t.Fatal("inline policy's advisor state diverged from the standalone advisor's")
 	}
 	if err := adv.CheckState(); err != nil {
 		t.Fatal(err)

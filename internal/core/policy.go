@@ -5,7 +5,6 @@ import (
 
 	"mpppb/internal/cache"
 	"mpppb/internal/policy"
-	"mpppb/internal/trace"
 )
 
 // DefaultPolicy selects the underlying replacement policy MPPPB layers its
@@ -157,33 +156,25 @@ func Table2Params() Params {
 
 // MPPPB is the multiperspective placement, promotion and bypass policy: a
 // cache.ReplacementPolicy for the LLC driven by the multiperspective
-// predictor. The prediction/training engine lives in the embedded Advisor
-// (constructible and drivable on its own, e.g. by the serving layer);
-// MPPPB adds the default-policy victim search and the cache hook
-// protocol.
+// predictor. It is a thin adapter over the embedded Advisor, which makes
+// every prediction, training and threshold decision; MPPPB adds the
+// default-policy victim search and applies the Advisor's advice to the
+// default policy's recency state.
 type MPPPB struct {
 	*Advisor
 	mdpp  *policy.MDPP
 	srrip *policy.SRRIP
 	ways  int
 
-	// Victim→Fill memo: the cache calls Victim and, unless it bypasses,
-	// Fill for the same access back-to-back with no predictor activity in
-	// between, so Fill can reuse the confidence (and the index vector left
-	// in the predictor) instead of recomputing. pendValid only survives
-	// from a non-bypass Victim to the immediately following Fill.
-	pendValid bool
-	pendSet   int
-	pendBlock uint64
-	pendPC    uint64
-	pendConf  int
+	// pend is the miss advice a non-bypass Victim took, applied by the Fill
+	// the cache always calls next for the same access; pendOK is false
+	// when a Fill has no Victim before it.
+	pend   Advice
+	pendOK bool
 }
 
 // NewMPPPB builds the policy for an LLC geometry.
 func NewMPPPB(sets, ways int, params Params) *MPPPB {
-	if len(params.Features) == 0 {
-		panic("core: MPPPB requires a feature set")
-	}
 	m := &MPPPB{
 		Advisor: NewAdvisor(sets, params),
 		ways:    ways,
@@ -242,53 +233,29 @@ func (m *MPPPB) Name() string {
 	return name
 }
 
-// Hit implements cache.ReplacementPolicy: predict, train, and decide
-// promotion (Section 3.6: "On a cache hit, if the value exceeds a
-// threshold τ4, then the block is not promoted").
+// Hit implements cache.ReplacementPolicy: promote the block unless the
+// Advisor's hit advice suppresses promotion.
 func (m *MPPPB) Hit(set, way int, a cache.Access) {
-	if a.Type == trace.Writeback {
+	adv := m.AdviseHit(a, set)
+	if !adv.Promote {
 		return
 	}
-	conf := m.predictAndTrain(a, set, false)
-	ts := m.thresholdsFor(set)
-	if conf > ts.Tau4 {
-		m.NoPromotes++
+	if m.mdpp != nil {
+		m.mdpp.PromoteAt(set, way, int(adv.Pos))
 	} else {
-		if m.mdpp != nil {
-			m.mdpp.PromoteAt(set, way, ts.PromotePos)
-		} else {
-			m.srrip.SetRRPV(set, way, uint8(ts.PromotePos))
-		}
+		m.srrip.SetRRPV(set, way, uint8(adv.Pos))
 	}
-	m.pred.observe(a, set, false, true)
 }
 
-// Victim implements cache.ReplacementPolicy: decide bypass, else delegate
-// victim selection to the default policy.
+// Victim implements cache.ReplacementPolicy: take the Advisor's miss
+// advice, bypass if it says so, else delegate victim selection to the
+// default policy and keep the advice for the Fill that follows.
 func (m *MPPPB) Victim(set int, a cache.Access) (int, bool) {
-	// In adaptive mode the duel vote lands first, before any threshold
-	// read — the same point AdviseMiss votes — so the inline and serving
-	// paths evolve identically. The paired Fill reads the same window's
-	// winner: no duel event can land between a Victim and its Fill.
-	m.duelVote(set)
-	// The index vector is consumed by train — immediately on bypass, or at
-	// Fill through the memo — and only for sampled sets.
-	conf := m.pred.predict(a, set, true)
-	ts := m.thresholdsFor(set)
-	if m.params.BypassEnabled && conf > ts.Tau0 {
-		// Bypassed: Fill will not run, so train and update state here. The
-		// predict call above already computed this access's indices.
-		m.train(a, set, conf)
-		m.pred.observe(a, set, true, false)
-		m.Bypasses++
-		m.pendValid = false
+	adv := m.AdviseMiss(a, set, true)
+	if adv.Bypass {
 		return 0, true
 	}
-	m.pendValid = true
-	m.pendSet = set
-	m.pendBlock = a.Block()
-	m.pendPC = a.PC
-	m.pendConf = conf
+	m.pend, m.pendOK = adv, true
 	if m.mdpp != nil {
 		return m.mdpp.VictimWay(set), false
 	}
@@ -296,31 +263,20 @@ func (m *MPPPB) Victim(set int, a cache.Access) (int, bool) {
 	return w, false
 }
 
-// Fill implements cache.ReplacementPolicy: predict, train, and place the
-// block at the position selected by the thresholds.
+// Fill implements cache.ReplacementPolicy: place the block at the advised
+// position. A Fill with no Victim before it (an invalid frame, or a victim
+// chosen by another policy) takes its miss advice here, without bypass.
 func (m *MPPPB) Fill(set, way int, a cache.Access) {
-	var conf int
-	if m.pendValid && m.pendSet == set && m.pendBlock == a.Block() && m.pendPC == a.PC {
-		// Same access Victim just predicted, with no predictor activity in
-		// between: the confidence and index vector are still valid. Victim
-		// already voted this miss with the duel.
-		conf = m.pendConf
-		m.train(a, set, conf)
-	} else {
-		// Fill without a preceding Victim (invalid frame) — predict here.
-		// This is the miss's only hook, so the duel vote lands here.
-		m.duelVote(set)
-		conf = m.predictAndTrain(a, set, true)
+	adv := m.pend
+	if !m.pendOK {
+		adv = m.AdviseMiss(a, set, false)
 	}
-	m.pendValid = false
-	pos, slot := m.thresholdsFor(set).placement(conf)
-	m.Placements[slot]++
+	m.pendOK = false
 	if m.mdpp != nil {
-		m.mdpp.PlaceAt(set, way, pos)
+		m.mdpp.PlaceAt(set, way, int(adv.Pos))
 	} else {
-		m.srrip.SetRRPV(set, way, uint8(pos))
+		m.srrip.SetRRPV(set, way, uint8(adv.Pos))
 	}
-	m.pred.observe(a, set, true, true)
 }
 
 // Evict implements cache.ReplacementPolicy. Evictions carry no special

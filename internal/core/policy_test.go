@@ -45,7 +45,7 @@ func TestPlacementThresholdMapping(t *testing.T) {
 		{-200, 0, 0},
 	}
 	for _, c := range cases {
-		pos, slot := m.placement(c.conf)
+		pos, slot := m.static.placement(c.conf)
 		if pos != c.pos || slot != c.slot {
 			t.Errorf("placement(%d) = (%d,%d), want (%d,%d)", c.conf, pos, slot, c.pos, c.slot)
 		}
@@ -145,20 +145,6 @@ func TestMPPPBNoPromoteCounting(t *testing.T) {
 	c2.Access(demand(0x400, 0))
 	if m2.NoPromotes != 0 {
 		t.Fatalf("NoPromotes = %d, want 0", m2.NoPromotes)
-	}
-}
-
-func TestMPPPBSRRIPModeRuns(t *testing.T) {
-	params := MultiCoreParams()
-	var accs []cache.Access
-	for i := 0; i < 20000; i++ {
-		a := demand(0x400+uint64(i%7)*4, uint64(i%4096)<<trace.BlockBits)
-		a.Core = i % 4
-		accs = append(accs, a)
-	}
-	llc, m := runLLC(t, params, accs)
-	if llc.Stats.Accesses == 0 || m.TrainEvents == 0 {
-		t.Fatal("SRRIP-mode MPPPB did not run/train")
 	}
 }
 

@@ -65,9 +65,8 @@ type Predictor struct {
 	// scratch reused across calls: the per-feature index vector, the SWAR
 	// weight-staging vector, and the per-prediction source vector.
 	//
-	// idx holds the table indices of the most recent prediction. It
-	// survives between calls, which is what lets MPPPB's Victim→Fill memo
-	// train from a prediction without recomputing it on the Fill side.
+	// idx holds the table indices of the most recent prediction, which
+	// the Advisor's train hands to the sampler right after predict.
 	idx   []uint16
 	lanes [laneWords]uint64
 	srcs  []uint64

@@ -216,7 +216,8 @@ func (r *Run) Failures() []CellFailure {
 // writing the reason to w (stderr): 130 when err is a cancellation, with
 // a -resume hint naming journalPath (the -journal flag) when it is set; 1
 // for any other err; 3 after one "FAILED key: err" line per failed cell,
-// in grid order; 0 on a clean run. A fleet coordinator first lingers
+// in grid order, followed by the stack of the first cell that panicked;
+// 0 on a clean run. A fleet coordinator first lingers
 // until live workers have fetched the final grid, so they can render the
 // same tables.
 func (r *Run) Finish(w io.Writer, tool, journalPath string, err error) int {
@@ -241,8 +242,15 @@ func (r *Run) Finish(w io.Writer, tool, journalPath string, err error) int {
 		return 0
 	}
 	fmt.Fprintf(w, "%s: %d cell(s) failed permanently; their entries render as NaN or NA and -resume recomputes them:\n", tool, len(failures))
+	var first *parallel.PanicError
 	for _, f := range failures {
 		fmt.Fprintf(w, "  FAILED %s: %v\n", f.Key, f.Err)
+		if pe := (*parallel.PanicError)(nil); first == nil && errors.As(f.Err, &pe) {
+			first = pe
+		}
+	}
+	if first != nil {
+		fmt.Fprintf(w, "%s: stack of the first panicking cell:\n%s", tool, first.Stack)
 	}
 	return 3
 }

@@ -114,3 +114,32 @@ func TestFinishExitCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishPrintsOneStack pins the failure report for panicking cells:
+// every FAILED line stays one line, and the stack of the first panicking
+// cell follows the list exactly once.
+func TestFinishPrintsOneStack(t *testing.T) {
+	run := &Run{KeepGoing: true}
+	RunCells(run, []string{"g/a", "g/b", "g/c"}, func(_ context.Context, i int) (int, error) {
+		if i == 0 {
+			return 0, errors.New("cell 0 broke")
+		}
+		panic(fmt.Sprintf("cell %d exploded", i))
+	})
+	var w strings.Builder
+	if code := run.Finish(&w, "tool", "", nil); code != 3 {
+		t.Fatalf("Finish = %d, want 3", code)
+	}
+	out := w.String()
+	head := "tool: 3 cell(s) failed permanently; their entries render as NaN or NA and -resume recomputes them:\n" +
+		"  FAILED g/a: cell 0 broke\n" +
+		"  FAILED g/b: parallel: worker panicked: cell 1 exploded\n" +
+		"  FAILED g/c: parallel: worker panicked: cell 2 exploded\n" +
+		"tool: stack of the first panicking cell:\ngoroutine "
+	if !strings.HasPrefix(out, head) {
+		t.Fatalf("Finish output starts %q, want prefix %q", out[:min(len(out), len(head))], head)
+	}
+	if n := strings.Count(out, " [running]:\n"); n != 1 {
+		t.Fatalf("Finish printed %d stacks, want 1:\n%s", n, out)
+	}
+}

@@ -60,8 +60,10 @@ type PanicError struct {
 	Stack []byte
 }
 
+// Error is one line, so failure lists and journal entries stay one line
+// per failure; the stack stays on the struct for callers that print it.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("parallel: worker panicked: %v\n%s", e.Value, e.Stack)
+	return fmt.Sprintf("parallel: worker panicked: %v", e.Value)
 }
 
 // Map runs fn(i) for every i in [0, n) across a pool of workers and

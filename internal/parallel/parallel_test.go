@@ -68,6 +68,9 @@ func TestMapPanicSurfacesAsError(t *testing.T) {
 		if pe.Value != "boom" || len(pe.Stack) == 0 {
 			t.Fatalf("workers=%d: panic value %v, stack len %d", workers, pe.Value, len(pe.Stack))
 		}
+		if msg := pe.Error(); msg != "parallel: worker panicked: boom" {
+			t.Fatalf("workers=%d: Error() = %q, want one line without the stack", workers, msg)
+		}
 	}
 }
 

@@ -83,6 +83,33 @@ func TestHybridPolicyEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHybridPolicyPins pins both hybrids' exact results on one short
+// segment. In Hawkeye-managed sets the cache fills through MPPPB's Fill
+// hook with no Victim before it, a path no other golden covers.
+func TestHybridPolicyPins(t *testing.T) {
+	cfg := shortCfg()
+	for _, c := range []struct {
+		policy string
+		want   Result
+	}{
+		{"hybrid", Result{Segment: "gcc_like-1", Instructions: 400002, Cycles: 687304,
+			IPC: 0.5819870101148836, LLCAccesses: 127483, LLCMisses: 77715,
+			MPKI: 194.28652856735715, Bypasses: 7514}},
+		{"hybrid-srrip", Result{Segment: "gcc_like-1", Instructions: 400002, Cycles: 687860,
+			IPC: 0.5815165876777251, LLCAccesses: 127483, LLCMisses: 77903,
+			MPKI: 194.7565262173689, Bypasses: 1388}},
+	} {
+		pf, err := Policy(c.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := RunSingle(cfg, workload.NewGenerator(seg("gcc_like", 1), 0), pf).Deterministic()
+		if got != c.want {
+			t.Errorf("%s: got %#v, want %#v", c.policy, got, c.want)
+		}
+	}
+}
+
 // TestSHiPPolicyEndToEnd exercises SHiP through the full driver.
 func TestSHiPPolicyEndToEnd(t *testing.T) {
 	cfg := shortCfg()

@@ -147,20 +147,6 @@ func RunMulti(cfg Config, mix workload.Mix, pf PolicyFactory) MultiResult {
 	return res
 }
 
-// SingleIPCs computes the standalone IPC of each segment in a mix: the
-// segment alone with the full (multi-core-sized) LLC under LRU, the
-// denominator of the paper's weighted speedup. Results should be cached by
-// callers sweeping many mixes (see SingleIPCCache).
-func SingleIPCs(cfg Config, mix workload.Mix) [4]float64 {
-	var out [4]float64
-	for i := 0; i < 4; i++ {
-		gen := workload.NewGenerator(mix[i], workload.CoreBase(i))
-		r := RunSingle(cfg, gen, lruFactory)
-		out[i] = r.IPC
-	}
-	return out
-}
-
 // SingleIPCCache memoizes standalone IPCs per segment. It is safe for
 // concurrent use: mixes fanned across workers share one cache, and
 // single-flight semantics guarantee each segment's baseline run executes

@@ -10,6 +10,7 @@ import (
 	"mpppb/internal/core"
 	"mpppb/internal/policy"
 	"mpppb/internal/predictor"
+	"mpppb/internal/workload"
 )
 
 func init() {
@@ -131,6 +132,21 @@ func CheckNames(kind string, names, valid []string) error {
 		if !slices.Contains(valid, n) {
 			return fmt.Errorf("unknown %s %q (valid: %s)", kind, n, strings.Join(valid, " "))
 		}
+	}
+	return nil
+}
+
+// CheckSegment returns an error unless seg is a segment index in
+// 0..workload.SegmentsPerBenchmark-1 or, when allowAll is set, -1 for
+// every segment, so a tool can refuse a bad -seg before it declares or
+// journals a single cell.
+func CheckSegment(seg int, allowAll bool) error {
+	lo := 0
+	if allowAll {
+		lo = -1
+	}
+	if seg < lo || seg >= workload.SegmentsPerBenchmark {
+		return fmt.Errorf("segment %d out of range [%d, %d]", seg, lo, workload.SegmentsPerBenchmark-1)
 	}
 	return nil
 }

@@ -83,6 +83,29 @@ func TestPolicyRegistry(t *testing.T) {
 	}
 }
 
+func TestCheckSegment(t *testing.T) {
+	last := workload.SegmentsPerBenchmark - 1
+	for _, c := range []struct {
+		seg      int
+		allowAll bool
+		ok       bool
+	}{
+		{0, false, true},
+		{last, false, true},
+		{last + 1, false, false},
+		{-1, false, false},
+		{-1, true, true},
+		{0, true, true},
+		{last, true, true},
+		{last + 1, true, false},
+		{-2, true, false},
+	} {
+		if err := CheckSegment(c.seg, c.allowAll); (err == nil) != c.ok {
+			t.Errorf("CheckSegment(%d, %v) = %v, want ok=%v", c.seg, c.allowAll, err, c.ok)
+		}
+	}
+}
+
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

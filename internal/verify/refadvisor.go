@@ -3,7 +3,6 @@ package verify
 import (
 	"mpppb/internal/cache"
 	"mpppb/internal/core"
-	"mpppb/internal/trace"
 )
 
 // RefAdvisor is the reference reimplementation of core.Advisor: the same
@@ -25,40 +24,13 @@ func NewRefAdvisor(sets int, params core.Params) *RefAdvisor {
 // AdviseHit mirrors core.Advisor.AdviseHit decision-for-decision,
 // including the writeback no-op contract.
 func (r *RefAdvisor) AdviseHit(a cache.Access, set int) core.Advice {
-	if a.Type == trace.Writeback {
-		return core.Advice{}
-	}
-	e := r.e
-	conf := e.predict(a, set, false)
-	e.train(a, set, conf)
-	adv := core.Advice{Conf: int16(conf)}
-	if ts := e.thresholdsFor(set); conf <= ts.Tau4 {
-		adv.Promote = true
-		adv.Pos = int8(ts.PromotePos)
-	}
-	e.observe(a, set, false, true)
-	return adv
+	return r.e.adviseHit(a, set)
 }
 
 // AdviseMiss mirrors core.Advisor.AdviseMiss decision-for-decision,
 // including the mayBypass and writeback contracts.
 func (r *RefAdvisor) AdviseMiss(a cache.Access, set int, mayBypass bool) core.Advice {
-	if a.Type == trace.Writeback {
-		return core.Advice{Bypass: true}
-	}
-	e := r.e
-	// The duel vote lands first, before any threshold read, mirroring
-	// core.Advisor.AdviseMiss.
-	e.vote(set)
-	conf := e.predict(a, set, true)
-	e.train(a, set, conf)
-	if mayBypass && e.params.BypassEnabled && conf > e.thresholdsFor(set).Tau0 {
-		e.observe(a, set, true, false)
-		return core.Advice{Conf: int16(conf), Bypass: true}
-	}
-	pos, slot := e.placement(set, conf)
-	e.observe(a, set, true, true)
-	return core.Advice{Conf: int16(conf), Pos: int8(pos), Slot: uint8(slot)}
+	return r.e.adviseMiss(a, set, mayBypass)
 }
 
 // CompareState checks a production advisor's complete predictor and

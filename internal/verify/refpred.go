@@ -32,17 +32,13 @@ type mpppbOracle struct {
 	rrpv [][]uint8
 	ways int
 
-	// Victim→Fill memo mirroring the production policy.
-	pendValid bool
-	pendSet   int
-	pendBlock uint64
-	pendPC    uint64
-	pendConf  int
-
-	// Victim expectation recorded by preVictim.
+	// Victim expectation recorded by preVictim, and the placement position
+	// of its advice for the Fill that follows (pendOK is false when a Fill
+	// has no Victim before it).
 	expBypass bool
 	expVictim int
-	skipHit   bool
+	pendPos   int
+	pendOK    bool
 }
 
 type refSampEntry struct {
@@ -314,6 +310,44 @@ func (e *refEngine) placement(set, conf int) (pos, slot int) {
 	}
 }
 
+// adviseHit is the reference hit-side decision, mirroring
+// core.Advisor.AdviseHit: predict, train, decide promotion, observe.
+// Writeback hits leave all state untouched.
+func (e *refEngine) adviseHit(a cache.Access, set int) core.Advice {
+	if a.Type == trace.Writeback {
+		return core.Advice{}
+	}
+	conf := e.predict(a, set, false)
+	e.train(a, set, conf)
+	adv := core.Advice{Conf: int16(conf)}
+	if ts := e.thresholdsFor(set); conf <= ts.Tau4 {
+		adv.Promote = true
+		adv.Pos = int8(ts.PromotePos)
+	}
+	e.observe(a, set, false, true)
+	return adv
+}
+
+// adviseMiss is the reference miss-side decision, mirroring
+// core.Advisor.AdviseMiss: the duel vote lands first, before any
+// threshold read; then predict, train, decide bypass versus placement,
+// observe. Writeback misses are a bare bypass that touches no state.
+func (e *refEngine) adviseMiss(a cache.Access, set int, mayBypass bool) core.Advice {
+	if a.Type == trace.Writeback {
+		return core.Advice{Bypass: true}
+	}
+	e.vote(set)
+	conf := e.predict(a, set, true)
+	e.train(a, set, conf)
+	if mayBypass && e.params.BypassEnabled && conf > e.thresholdsFor(set).Tau0 {
+		e.observe(a, set, true, false)
+		return core.Advice{Conf: int16(conf), Bypass: true}
+	}
+	pos, slot := e.placement(set, conf)
+	e.observe(a, set, true, true)
+	return core.Advice{Conf: int16(conf), Pos: int8(pos), Slot: uint8(slot)}
+}
+
 // place applies a placement/promotion position to the reference default-
 // policy model.
 func (o *mpppbOracle) place(set, way, pos int) {
@@ -373,45 +407,27 @@ func (o *mpppbOracle) compareSet(set int) {
 
 func (o *mpppbOracle) preHit(set, way int, a cache.Access) {
 	if a.Type == trace.Writeback {
-		o.skipHit = true
 		return
 	}
-	o.skipHit = false
-	conf := o.predict(a, set, false)
-	o.compareConf(a, set, false, conf)
-	o.train(a, set, conf)
-	if ts := o.thresholdsFor(set); conf <= ts.Tau4 {
-		o.place(set, way, ts.PromotePos)
+	adv := o.adviseHit(a, set)
+	o.compareConf(a, set, false, int(adv.Conf))
+	if adv.Promote {
+		o.place(set, way, int(adv.Pos))
 	}
-	o.observe(a, set, false, true)
 }
 
 func (o *mpppbOracle) postHit(set, _ int, _ cache.Access) {
-	if o.skipHit {
-		return
-	}
 	o.compareSet(set)
 }
 
 func (o *mpppbOracle) preVictim(set int, a cache.Access) {
-	// The duel vote lands first, before any threshold read, mirroring the
-	// production Victim hook.
-	o.vote(set)
-	conf := o.predict(a, set, true)
-	o.compareConf(a, set, true, conf)
-	if o.params.BypassEnabled && conf > o.thresholdsFor(set).Tau0 {
-		o.expBypass = true
-		o.train(a, set, conf)
-		o.observe(a, set, true, false)
-		o.pendValid = false
+	adv := o.adviseMiss(a, set, true)
+	o.compareConf(a, set, true, int(adv.Conf))
+	o.expBypass = adv.Bypass
+	if adv.Bypass {
 		return
 	}
-	o.expBypass = false
-	o.pendValid = true
-	o.pendSet = set
-	o.pendBlock = a.Block()
-	o.pendPC = a.PC
-	o.pendConf = conf
+	o.pendPos, o.pendOK = int(adv.Pos), true
 	o.expVictim = o.defaultVictim(set)
 }
 
@@ -427,25 +443,18 @@ func (o *mpppbOracle) postVictim(set int, a cache.Access, way int, bypass bool) 
 	}
 }
 
+// preFill places the block at the position preVictim's advice chose; a
+// Fill with no Victim before it (an invalid frame) is the miss's only hook
+// and takes its advice here, without bypass.
 func (o *mpppbOracle) preFill(set, way int, a cache.Access) {
-	var conf int
-	if o.pendValid && o.pendSet == set && o.pendBlock == a.Block() && o.pendPC == a.PC {
-		// Same access the reference just predicted in preVictim; the index
-		// vector in o.idx is still that prediction's, and preVictim already
-		// voted this miss with the duel.
-		conf = o.pendConf
-	} else {
-		// Fill without a preceding Victim (invalid frame) — this is the
-		// miss's only hook, so the duel vote lands here.
-		o.vote(set)
-		conf = o.predict(a, set, true)
+	pos := o.pendPos
+	if !o.pendOK {
+		adv := o.adviseMiss(a, set, false)
+		o.compareConf(a, set, true, int(adv.Conf))
+		pos = int(adv.Pos)
 	}
-	o.compareConf(a, set, true, conf)
-	o.pendValid = false
-	o.train(a, set, conf)
-	pos, _ := o.placement(set, conf)
+	o.pendOK = false
 	o.place(set, way, pos)
-	o.observe(a, set, true, true)
 }
 
 func (o *mpppbOracle) postFill(set, _ int, _ cache.Access) {

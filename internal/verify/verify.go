@@ -63,7 +63,6 @@ type Checker struct {
 
 	events      uint64 // completed Access/Invalidate operations
 	sweepEvery  uint64 // full-state sweep period, in events
-	sweeps      uint64
 	divergences uint64
 
 	// Fail is invoked on every divergence or invariant violation. It
@@ -99,12 +98,6 @@ func (k *Checker) Events() uint64 { return k.events }
 // meaningful when Fail does not panic).
 func (k *Checker) Divergences() uint64 { return k.divergences }
 
-// Summary renders a one-line report of the checking performed.
-func (k *Checker) Summary() string {
-	return fmt.Sprintf("verify[%s]: %d accesses checked, %d full sweeps, %d divergences",
-		k.c.Name(), k.events, k.sweeps, k.divergences)
-}
-
 // failf reports a divergence at the current event.
 func (k *Checker) failf(dump, format string, args ...any) {
 	k.divergences++
@@ -120,7 +113,6 @@ func (k *Checker) failf(dump, format string, args ...any) {
 // oracle's complete state (weights, sampler, recency state of every set),
 // and the policy's structural invariants.
 func (k *Checker) sweep() {
-	k.sweeps++
 	k.model.checkAll()
 	k.shadow.sweep()
 }
